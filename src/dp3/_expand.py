@@ -9,15 +9,20 @@ polynomial form of the equation,
     E(u) = u u'' - (u')^2 + u u'/tau + (8 u^3 - 2 a beff u)/tau - beff^2,
 
 which vanishes identically on solutions with eps = +1 and b replaced by
-beff = eps*b (the eps-normalized convention used throughout).
+beff = eps*b (the eps-normalized convention used throughout).  A level
+reads one tau-grade of E and of its linearization; LevelRows assembles
+just that row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 Key = Tuple[int, int, int]
 Series = Dict[Key, complex]
+# a single tau-grade p of a series: {(m, j): coeff}
+Row = Dict[Tuple[int, int], complex]
+Bucket = List[Tuple[int, int, complex]]
 
 
 def smul(A: Series, B: Series) -> Series:
@@ -57,10 +62,6 @@ def sdtau(A: Series, sigma: complex) -> Series:
     return out
 
 
-def sclean(A: Series, tol: float = 0.0) -> Series:
-    return {k: v for k, v in A.items() if abs(v) > tol}
-
-
 def equation_defect(u: Series, a: complex, beff: float, sigma: complex) -> Series:
     """E(u) for the eps-normalized equation (see module docstring)."""
     u1 = sdtau(u, sigma)
@@ -78,32 +79,82 @@ def equation_defect(u: Series, a: complex, beff: float, sigma: complex) -> Serie
     return E
 
 
-def defect_linearization(
-    u_ref: Series,
-    u1_ref: Series,
-    u2_ref: Series,
-    U2_ref: Series,
-    e: Series,
-    a: complex,
-    beff: float,
-    sigma: complex,
-) -> Series:
-    """Directional derivative of E at u_ref in direction e (exact since E is
-    cubic; callers arrange gradings so self-pairings of e land off the rows
-    they read)."""
-    e1 = sdtau(e, sigma)
-    e2 = sdtau(e1, sigma)
-    return sadd(
-        (1, smul(u_ref, e2)),
-        (1, smul(e, u2_ref)),
-        (-2, smul(u1_ref, e1)),
-        (1, sshift(smul(u_ref, e1), -1)),
-        (1, sshift(smul(e, u1_ref), -1)),
-        (24, sshift(smul(U2_ref, e), -1)),
-        (-2 * a * beff, sshift(e, -1)),
-    )
+def by_grade(A: Series) -> Dict[int, Bucket]:
+    """Terms of A bucketed by tau-grade p, each bucket in A's order."""
+    out: Dict[int, Bucket] = {}
+    for (p, m, j), c in A.items():
+        out.setdefault(p, []).append((m, j, c))
+    return out
 
 
-def row(A: Series, p: int) -> Dict[Tuple[int, int], complex]:
-    """Restriction of a series to integer tau-grade p: {(m, j): coeff}."""
-    return {(m, j): c for (p_, m, j), c in A.items() if p_ == p}
+def mul_row(A: Series, Bg: Dict[int, Bucket], p: int) -> Row:
+    """Grade-p row of smul(A, B), B given by its grade buckets."""
+    out: Row = {}
+    for (pa, ma, ja), ca in A.items():
+        for mb, jb, cb in Bg.get(p - pa, ()):
+            k = (ma + mb, ja + jb)
+            out[k] = out.get(k, 0j) + ca * cb
+    return out
+
+
+def _bucket_mul(left: Bucket, right: Bucket) -> Row:
+    out: Row = {}
+    for ma, ja, ca in left:
+        for mb, jb, cb in right:
+            k = (ma + mb, ja + jb)
+            out[k] = out.get(k, 0j) + ca * cb
+    return out
+
+
+class LevelRows:
+    """Single tau-grade rows of E(u) and of its linearization at u.
+
+    Only the pairs of terms whose grades land on the requested row are
+    formed.  Each product sums its pairs in the order smul visits them and
+    the products are added in the order of equation_defect, so a row equals
+    the restriction of the full series to that grade bit for bit.
+    """
+
+    def __init__(self, u: Series, a: complex, beff: float, sigma: complex):
+        self.u = dict(u)
+        self.a, self.beff, self.sigma = a, beff, sigma
+        self.u1 = sdtau(u, sigma)
+        self.U2 = smul(u, u)
+        self.g = by_grade(u)
+        self.g1 = by_grade(self.u1)
+        self.g2 = by_grade(sdtau(self.u1, sigma))
+        self.G2 = by_grade(self.U2)
+
+    def defect(self, p: int) -> Row:
+        """Grade-p row of equation_defect(u)."""
+        u_shifted = {(m, j): c for m, j, c in self.g.get(p + 1, ())}
+        E = sadd(
+            (1, mul_row(self.u, self.g2, p)),
+            (-1, mul_row(self.u1, self.g1, p)),
+            (1, mul_row(self.u, self.g1, p + 1)),
+            (8, mul_row(self.U2, self.g, p + 1)),
+            (-2 * self.a * self.beff, u_shifted),
+        )
+        if p == 0:
+            E[(0, 0)] = E.get((0, 0), 0j) - self.beff * self.beff
+        return E
+
+    def linearization(self, key: Key, p: int) -> Row:
+        """Grade-p row of the directional derivative of E at u along the
+        monomial tau^(key) (exact since E is cubic; callers arrange gradings
+        so self-pairings of the monomial land off the rows they read)."""
+        pe, me, je = key
+        d1 = sdtau({key: 1.0 + 0j}, self.sigma)
+        d2 = sdtau(d1, self.sigma)
+        e0 = [(me, je, 1.0 + 0j)]
+        e1 = [(m, j, c) for (_p, m, j), c in d1.items()]
+        e2 = [(m, j, c) for (_p, m, j), c in d2.items()]
+        return sadd(
+            (1, _bucket_mul(self.g.get(p - pe + 2, ()), e2)),
+            (1, _bucket_mul(e0, self.g2.get(p - pe, ()))),
+            (-2, _bucket_mul(self.g1.get(p - pe + 1, ()), e1)),
+            (1, _bucket_mul(self.g.get(p - pe + 2, ()), e1)),
+            (1, _bucket_mul(e0, self.g1.get(p - pe + 1, ()))),
+            (24, _bucket_mul(self.G2.get(p - pe + 1, ()), e0)),
+            (-2 * self.a * self.beff, {(me, je): 1.0 + 0j} if p == pe - 1 else {}),
+        )

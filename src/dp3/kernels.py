@@ -6,8 +6,9 @@ with embedded Dormand-Prince error control and pole/zero guards.
 
 The kernel is compiled with numba when available (the optional `jit`
 extra); setting DP3_NUMBA=0, or a missing numba install, selects the
-identical pure-Python path.  See benchmarks/bench_integrate.py for the
-speed comparison.
+identical pure-Python path.  The benchmark's `poles` workload reports
+the microseconds per accepted step of whichever path ran
+(`python3 perfbench/run.py --workload poles --trace 1`).
 """
 
 from __future__ import annotations

@@ -2,11 +2,14 @@
 
 import cmath
 import math
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
-from dp3._expand import equation_defect
+from dp3._expand import LevelRows, equation_defect, sadd, sdtau, smul, sshift
+from dp3.genfun import _power_gf
 from dp3.monodromy import OutOfScopeError, ProblemParams
 from dp3.series import (
     ExpansionKind,
@@ -231,6 +234,107 @@ def test_defect_rows_vanish_below_truncation(power_table):
     for (p, m, j), v in E.items():
         if p < 2 * power_table.K:
             assert abs(v) < 1e-11 * scale, (p, m, abs(v))
+
+
+# --- full-product reference for the single-grade row builders
+
+
+def defect_linearization(u_ref, u1_ref, u2_ref, U2_ref, e, a, beff, sigma):
+    """Directional derivative of E at u_ref in direction e, as full series."""
+    e1 = sdtau(e, sigma)
+    e2 = sdtau(e1, sigma)
+    return sadd(
+        (1, smul(u_ref, e2)),
+        (1, smul(e, u2_ref)),
+        (-2, smul(u1_ref, e1)),
+        (1, sshift(smul(u_ref, e1), -1)),
+        (1, sshift(smul(e, u1_ref), -1)),
+        (24, sshift(smul(U2_ref, e), -1)),
+        (-2 * a * beff, sshift(e, -1)),
+    )
+
+
+def row(A, p):
+    """Restriction of a series to integer tau-grade p: {(m, j): coeff}."""
+    return {(m, j): c for (p_, m, j), c in A.items() if p_ == p}
+
+
+def _random_graded_series(rng, sigma):
+    """Extended-precision terms at odd grades -1..7 in shuffled order; with
+    sigma = 0 the keys carry log powers of both signs, otherwise m and j."""
+    if sigma == 0:
+        keys = [(p, 0, j) for p in range(-1, 8, 2) for j in range(-4, 3)]
+    else:
+        keys = [
+            (p, m, j) for p in range(-1, 8, 2) for m in range(-3, 4) for j in (0, 1)
+        ]
+    keys = [keys[i] for i in rng.permutation(len(keys))[: 2 * len(keys) // 3]]
+    scale = np.exp(rng.normal(scale=3.0, size=(len(keys), 1)))
+    vals = rng.normal(size=(len(keys), 2)) * scale
+    return {k: np.clongdouble(complex(x, y)) for k, (x, y) in zip(keys, vals)}
+
+
+@pytest.mark.parametrize("seed,sigma", [(1, 0.9 - 0.3j), (2, -1.78 - 0.13j), (3, 0j)])
+def test_level_rows_equal_full_product_rows_bit_for_bit(seed, sigma):
+    rng = np.random.default_rng(seed)
+    a, beff = 0.37 + 0.21j, 1.3
+    u = _random_graded_series(rng, sigma)
+    rows = LevelRows(u, a, beff, sigma)
+    E = equation_defect(u, a, beff, sigma)
+    grades = range(min(p for p, _m, _j in E) - 1, max(p for p, _m, _j in E) + 2)
+    for p in grades:
+        assert rows.defect(p) == row(E, p), p
+    u1 = sdtau(u, sigma)
+    u2 = sdtau(u1, sigma)
+    U2 = smul(u, u)
+    for key in [(-1, 0, 0), (3, 1, 0), (5, -2, 1), (7, 0, -3), (9, 0, 2)]:
+        full = defect_linearization(u, u1, u2, U2, {key: 1.0 + 0j}, a, beff, sigma)
+        assert full
+        lo, hi = min(p for p, _m, _j in full), max(p for p, _m, _j in full)
+        for p in range(lo - 1, hi + 2):
+            assert rows.linearization(key, p) == row(full, p), (key, p)
+
+
+# perfbench tables draws (seed/item) whose sigma sits near -2, where every
+# gauge has |lambda| ~ 60-90: (a, sigma, b11)
+SIGMA_EDGE_IDS = ["tables-22-30", "tables-1-136", "tables-17-167"]
+SIGMA_EDGE_POINTS = [
+    (
+        -0.023695194953024412 + 0.6178063876221516j,
+        -1.778445700080713 - 0.1262128693452898j,
+        0.06859719126941077 + 0.9783020541426417j,
+    ),
+    (
+        -0.23120175513016172 + 0.667026627989054j,
+        -1.797766412027115 - 0.03059677723762888j,
+        0.9472191223697564 - 0.2550989020705483j,
+    ),
+    (
+        -0.06840963021397395 - 0.7796923283574473j,
+        -1.7944931908698132 + 0.0061983559061298266j,
+        0.30581366139279953 - 0.5934698170357244j,
+    ),
+]
+
+
+@pytest.mark.parametrize("a,sigma,b11", SIGMA_EDGE_POINTS, ids=SIGMA_EDGE_IDS)
+def test_power_diagonals_near_sigma_minus_two(a, sigma, b11):
+    # the n <= 2 (anti)diagonals of both edges through level 9 against the
+    # genfun closed forms at 30 digits (their double evaluation itself
+    # rounds to ~1e-11 here); the m < 0 side is the sigma -> -sigma image
+    K = 9
+    exp = power_coeffs(ProblemParams(a, 1.0, 1), sigma, b11=b11, K=K)
+    worst = 0.0
+    with mpmath.workdps(30):
+        p_mp = SimpleNamespace(a=mpmath.mpc(a), beff=mpmath.mpf(1))
+        for side, s, seed in ((1, sigma, b11), (-1, -sigma, exp.seeds["b1m1"])):
+            for n in range(3):
+                gf = _power_gf(n, p_mp, mpmath.mpc(s), mpmath.mpc(seed))
+                for k, want in gf.taylor(K).items():
+                    if k >= 1:
+                        got = exp.coeffs[(k, side * (k - n))]
+                        worst = max(worst, float(abs(got - want) / abs(want)))
+    assert worst < 1e-12
 
 
 def test_summation_sets():
