@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -54,7 +54,10 @@ class IntegrateOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 400_000
-    # guards relative to the running |u| scale (median of the recent trace)
+    # guards at |u*tau| = scale/guard_eta and scale*guard_eta; `integrate`
+    # refreshes the scale to the median of each segment only when called
+    # without a fixed guard_scale (continue_through, pole_census and
+    # detect_and_step_over pass one)
     guard_eta: float = 1e-6
     record_cap: int = 250_000
     fit_points: int = 10
@@ -81,7 +84,6 @@ class Trace:
     du: np.ndarray
     phi: np.ndarray
     status: str
-    detections: list = field(default_factory=list)
 
     @property
     def end_state(self) -> SolutionState:
@@ -148,9 +150,11 @@ def integrate(
     buf_du = np.empty(cap, dtype=complex)
     buf_phi = np.empty(cap, dtype=complex)
     all_t, all_u, all_d, all_p = [], [], [], []
-    u, du, phi = start.u, start.du, start.phi
+    # builtin scalars: a numpy scalar would turn every operation of the
+    # pure-Python kernel into a slower numpy dispatch
+    u, du, phi = complex(start.u), complex(start.du), complex(start.phi)
     # guard scale in |u*tau| units (bounded along singularity-free paths)
-    scale = guard_scale if guard_scale is not None else abs(u * start.tau)
+    scale = float(guard_scale if guard_scale is not None else abs(u * taus[0]))
     status_code = 0
     for t0, t1 in zip(taus[:-1], taus[1:]):
         if t0 == t1:

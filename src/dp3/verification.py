@@ -61,7 +61,21 @@ def _digest(*parts) -> str:
     return h.hexdigest()[:12]
 
 
-def _record(name, measured, tol, provenance, t0, digest, detail="", expected=0.0):
+class _Lap:
+    """Clock of one check group: each lap is the time since the group's
+    previous record (or its start), so the records' runtime_s sum to the
+    group's time instead of repeating it."""
+
+    def __init__(self):
+        self._last = time.perf_counter()
+
+    def __call__(self) -> float:
+        now = time.perf_counter()
+        dt, self._last = now - self._last, now
+        return dt
+
+
+def _record(name, measured, tol, provenance, lap, digest, detail="", expected=0.0):
     return CheckRecord(
         name,
         float(measured),
@@ -69,7 +83,7 @@ def _record(name, measured, tol, provenance, t0, digest, detail="", expected=0.0
         float(tol),
         bool(measured <= tol) if expected == 0.0 else bool(abs(measured - expected) <= tol),
         provenance,
-        time.perf_counter() - t0,
+        lap(),
         digest,
         detail,
     )
@@ -97,7 +111,7 @@ def _sample_generic(rng, a=None, scale=1.2):
 
 
 def check_manifold_dependency(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(1000):
@@ -109,7 +123,7 @@ def check_manifold_dependency(seed=0):
             worst,
             1e-10,
             "derived-oracle",
-            t0,
+            lap,
             _digest("c1", seed),
         )
     ]
@@ -119,7 +133,7 @@ def check_manifold_dependency(seed=0):
 
 
 def check_w_identities(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed + 1)
     worst_prod = worst_ratio = 0.0
     n = 0
@@ -141,8 +155,8 @@ def check_w_identities(seed=0):
         n += 1
     d = _digest("c2", seed)
     return [
-        _record("w-identities: product (200 pts)", worst_prod, 1e-11, "derived-oracle", t0, d),
-        _record("w-identities: cross-ratio (200 pts)", worst_ratio, 1e-11, "derived-oracle", t0, d),
+        _record("w-identities: product (200 pts)", worst_prod, 1e-11, "derived-oracle", lap, d),
+        _record("w-identities: cross-ratio (200 pts)", worst_ratio, 1e-11, "derived-oracle", lap, d),
     ]
 
 
@@ -150,7 +164,7 @@ def check_w_identities(seed=0):
 
 
 def check_coefficient_oracles(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     trials = 0
@@ -247,7 +261,7 @@ def check_coefficient_oracles(seed=0):
             worst,
             1e-12,
             "derived-oracle",
-            t0,
+            lap,
             _digest("c3", seed),
         )
     ]
@@ -257,7 +271,7 @@ def check_coefficient_oracles(seed=0):
 
 
 def check_genfun_equivalence(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed + 3)
     a = complex(rng.uniform(0.2, 0.6), rng.uniform(0.1, 0.4))
     params = ProblemParams(a, 1.0, 1)
@@ -294,8 +308,8 @@ def check_genfun_equivalence(seed=0):
     xisum = abs(xi[0] + xi[-1] + xi[-2] + xi[-3] + xi[-4])
     d = _digest("c4", seed)
     return [
-        _record("genfun-equivalence: Taylor vs recurrence tables", worst, 1e-12, "derived-oracle", t0, d),
-        _record("genfun-equivalence: pole-residue sum identity", xisum, 1e-13, "derived-oracle", t0, d),
+        _record("genfun-equivalence: Taylor vs recurrence tables", worst, 1e-12, "derived-oracle", lap, d),
+        _record("genfun-equivalence: pole-residue sum identity", xisum, 1e-13, "derived-oracle", lap, d),
     ]
 
 
@@ -331,7 +345,7 @@ def _defect_slope_log(exp, params, taus, irregular=False):
 
 
 def check_defect_slopes(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed + 4)
     K = 6
     taus = np.logspace(-4, -2, 9)
@@ -396,7 +410,7 @@ def check_defect_slopes(seed=0):
             claimed_dev,
             0.2,
             "derived-oracle",
-            t0,
+            lap,
             d,
             detail="; ".join(details),
         ),
@@ -405,7 +419,7 @@ def check_defect_slopes(seed=0):
             abs(slope_log - (2 * K + 1)),
             0.2,
             "derived-oracle",
-            t0,
+            lap,
             d,
             detail=f"fitted {slope_log:.2f}",
         ),
@@ -414,7 +428,7 @@ def check_defect_slopes(seed=0):
             abs(slope_ilog - (2 * K + 1)),
             0.2,
             "derived-oracle",
-            t0,
+            lap,
             d,
             detail=f"fitted {slope_ilog:.2f}",
         ),
@@ -423,7 +437,7 @@ def check_defect_slopes(seed=0):
             true_dev,
             0.2,
             "derived-oracle",
-            t0,
+            lap,
             d,
         ),
         _record(
@@ -431,7 +445,7 @@ def check_defect_slopes(seed=0):
             abs(slope_log_deep - (2 * K - 1)),
             0.3,
             "derived-oracle",
-            t0,
+            lap,
             d,
             detail=f"fitted {slope_log_deep:.2f}",
         ),
@@ -440,7 +454,7 @@ def check_defect_slopes(seed=0):
             abs(slope_ilog_deep - (2 * K - 1)),
             0.3,
             "derived-oracle",
-            t0,
+            lap,
             d,
             detail=f"fitted {slope_ilog_deep:.2f}",
         ),
@@ -495,10 +509,9 @@ def _closure_datasets(seed=0):
 
 
 def check_integration_closure(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     recs = []
     for name, data in _closure_datasets(seed).items():
-        tt = time.perf_counter()
         prof = asy.build_profile(data)
         exp = asy.series_for_regime(prof, K=6, M=12)
         params = data.params
@@ -519,11 +532,11 @@ def check_integration_closure(seed=0):
         dphi = abs(e1p - e2p) / abs(e2p)
         d = _digest("c7", name, seed)
         recs.append(
-            _record(f"closure[{name}]: two-seed endpoint u", du, 1e-6, "derived-oracle", tt, d)
+            _record(f"closure[{name}]: two-seed endpoint u", du, 1e-6, "derived-oracle", lap, d)
         )
         recs.append(
             _record(
-                f"closure[{name}]: two-seed endpoint exp(i*phi)", dphi, 1e-6, "derived-oracle", tt, d
+                f"closure[{name}]: two-seed endpoint exp(i*phi)", dphi, 1e-6, "derived-oracle", lap, d
             )
         )
         # leading formula vs the 1e-4-seeded trace, two-point exponent check
@@ -541,7 +554,7 @@ def check_integration_closure(seed=0):
                 measured,
                 1e-9,
                 "derived-oracle",
-                tt,
+                lap,
                 d,
             )
         else:
@@ -551,7 +564,7 @@ def check_integration_closure(seed=0):
                 e1,
                 bound,
                 "derived-oracle",
-                tt,
+                lap,
                 d,
                 detail=f"e(1e-3)={e1:.2e} e(2e-3)={e2:.2e}",
             )
@@ -562,7 +575,7 @@ def check_integration_closure(seed=0):
 def check_backlund_covariance(seed=0):
     # Im(a) = -0.5 keeps the digamma arguments of both images away from
     # poles, so the mapped-family series converge fast at tau = 1e-3
-    t0 = time.perf_counter()
+    lap = _Lap()
     p = ProblemParams(0.3 - 0.5j, 1.0, 1)
     data = mon.complete_from_g11_g21_s00(p, 0.9 + 0.1j, 0.4j, 2j)
     prof = asy.build_profile(data)
@@ -589,7 +602,7 @@ def check_backlund_covariance(seed=0):
                 du,
                 1e-6,
                 "derived-oracle",
-                t0,
+                lap,
                 d,
             )
         )
@@ -632,7 +645,7 @@ def check_backlund_covariance(seed=0):
                 dphi,
                 1e-6,
                 "derived-oracle",
-                t0,
+                lap,
                 d,
             )
         )
@@ -640,7 +653,7 @@ def check_backlund_covariance(seed=0):
 
 
 def check_log_constants(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed + 9)
     worst = 0.0
     n = 0
@@ -668,14 +681,14 @@ def check_log_constants(seed=0):
             worst,
             1e-11,
             "derived-oracle",
-            t0,
+            lap,
             _digest("c9", seed),
         )
     ]
 
 
 def check_G_roots(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     roots = asy.find_G_pm_roots(2.0, (-1, 1, -3, 0), "plus", grid=12)
     want = [
         (0.2381378288 - 0.6358442252j, 1.5e-10),
@@ -695,7 +708,7 @@ def check_G_roots(seed=0):
                 err,
                 tol,
                 "paper-table",
-                t0,
+                lap,
                 d,
                 detail=f"found {roots[i]:.11f}" if i < len(roots) else "not found",
             )
@@ -704,9 +717,9 @@ def check_G_roots(seed=0):
 
 
 def check_pole_census(seed=0):
+    lap = _Lap()
     recs = []
     for kappa, rtol in ((0.7, 1e-13), (1.3, 1e-12)):
-        t0 = time.perf_counter()
         params = ProblemParams(0.1, 1.0, 1)
         s00 = -2j * math.cosh(2 * math.pi * kappa)
         data = mon.complete_from_g11_g21_s00(params, 0.9, 0.4 + 0.2j, s00)
@@ -732,7 +745,7 @@ def check_pole_census(seed=0):
                 worst,
                 1.0,
                 "derived-oracle",
-                t0,
+                lap,
                 d,
                 detail=f"poles={len(dets)} zeros={len(zeros)} clean={clean}",
             )
@@ -741,7 +754,7 @@ def check_pole_census(seed=0):
 
 
 def check_lattice(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     p = ProblemParams(0.25 + 0.1j, 1.0, 1)
     data = mon.complete_from_G(p, 0.95 + 0.15j, 0.25 - 0.1j, 0.2 + 0.1j)
     prof = asy.build_profile(data)
@@ -763,20 +776,20 @@ def check_lattice(seed=0):
         worst_u = max(worst_u, abs(s2.u - s.u) / abs(s.u))
         worst_phi = max(worst_phi, abs(s2.phi - s.phi))
     recs.append(
-        _record("backlund round-trip: u (50-pt trace)", worst_u, 1e-8, "derived-oracle", t0, d)
+        _record("backlund round-trip: u (50-pt trace)", worst_u, 1e-8, "derived-oracle", lap, d)
     )
     recs.append(
-        _record("backlund round-trip: phi (50-pt trace)", worst_phi, 1e-8, "derived-oracle", t0, d)
+        _record("backlund round-trip: phi (50-pt trace)", worst_phi, 1e-8, "derived-oracle", lap, d)
     )
     for k, v in orb.residuals.items():
         recs.append(
-            _record(f"lattice identity [{k}]", v, 1e-7, "derived-oracle", t0, d)
+            _record(f"lattice identity [{k}]", v, 1e-7, "derived-oracle", lap, d)
         )
     return recs
 
 
 def check_w1_limit_oracle(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     params = ProblemParams(0.4 + 0.7j, 1.0, 1)
     data = mon.complete_special(
         RegimeTag.SPECIAL_POWER_PLUS, params, g21=1.2 - 0.3j, s1inf=0.8 + 0.5j
@@ -790,14 +803,14 @@ def check_w1_limit_oracle(seed=0):
             abs(closed - oracle) / abs(closed),
             1e-4,
             "derived-oracle",
-            t0,
+            lap,
             _digest("c13", seed),
         )
     ]
 
 
 def check_uniform_consistency(seed=0):
-    t0 = time.perf_counter()
+    lap = _Lap()
     rng = np.random.default_rng(seed + 14)
     recs = []
     d = _digest("c14", seed)
@@ -835,7 +848,7 @@ def check_uniform_consistency(seed=0):
             worst_pair,
             1.0,
             "derived-oracle",
-            t0,
+            lap,
             d,
         )
     )
@@ -854,7 +867,7 @@ def check_uniform_consistency(seed=0):
             worst_red,
             1e-12,
             "trivial",
-            t0,
+            lap,
             d,
         )
     )

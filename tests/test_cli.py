@@ -15,6 +15,7 @@ from dp3.monodromy import (
     complete_from_g11_g21_s00,
     data_to_json,
 )
+from dp3.verification import FAST, run_suite
 
 
 @pytest.fixture()
@@ -233,6 +234,14 @@ def test_verify_fast_report_schema(tmp_path, capsys):
     assert all(
         c["provenance"] in ("paper-table", "trivial", "derived-oracle") for c in obj["checks"]
     )
+
+
+def test_verify_record_times_sum_within_suite_time():
+    # w-identities and roots give several records per check group; each
+    # record carries only its own share of the group time
+    report = run_suite("fast", seed=0, verbose=False)
+    assert len(report.checks) > len(FAST)
+    assert sum(c.runtime_s for c in report.checks) <= report.runtime_s
 
 
 def test_console_entry_point():

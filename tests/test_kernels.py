@@ -1,11 +1,16 @@
-"""Kernel backend selection and cross-backend agreement."""
+"""Kernel backend selection, cross-backend agreement and scalar types."""
 
 import os
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
+
+from dp3 import dynamics, kernels
+from dp3.dynamics import IntegrateOptions, SolutionState, integrate
+from dp3.monodromy import ProblemParams
 
 
 def _run_backend(flag: str) -> str:
@@ -49,3 +54,41 @@ def test_env_flag_selects_backend_and_results_agree():
     u_jit = complex(jit.split()[1].strip("()"))
     u_py = complex(py.split()[1].strip("()"))
     assert abs(u_jit - u_py) < 1e-12 * abs(u_py)
+
+
+def _buffers(n=64):
+    return [np.empty(n, dtype=complex) for _ in range(4)]
+
+
+def test_python_kernel_returns_builtin_scalars():
+    # numpy scalars cost ~3x per operation in the pure-Python kernel, so
+    # none may enter its state (np.float64 subclasses float: check `type`)
+    status, nrec, s, u, du, phi = kernels._integrate_segment_impl(
+        0.1 + 0j, 0.05 + 0.01j, 0.4 + 0.1j, 0.2 - 0.3j, 0j,
+        0.25 + 0.1j, 1.0, 1.0, 1e-10, 1e-12, 10_000, 1e8, 1e-8, *_buffers(),
+    )
+    assert status == kernels.STATUS["done"] and nrec > 2
+    assert type(s) is float
+    assert all(type(v) is complex for v in (u, du, phi))
+
+
+def test_integrate_hands_builtin_scalars_to_kernel(monkeypatch):
+    seen = []
+    inner = dynamics.integrate_segment
+
+    def spy(*args):
+        seen.append(args[:13])
+        return inner(*args)
+
+    monkeypatch.setattr(dynamics, "integrate_segment", spy)
+    params = ProblemParams(0.25 + 0.1j, 1.0, 1)
+    vals = np.array([0.1, 0.4 + 0.1j, 0.2 - 0.3j, 0.0], dtype=complex)
+    start = SolutionState(*vals)
+    assert type(start.u) is np.complex128
+    opts = IntegrateOptions(rtol=1e-10)
+    integrate(start, params, [0.12, 0.15], opts)
+    integrate(start, params, [0.12], opts, guard_scale=np.abs(vals[1] * vals[0]))
+    assert len(seen) == 3
+    want = (complex,) * 6 + (float,) * 4 + (int,) + (float,) * 2
+    for args in seen:
+        assert tuple(type(v) for v in args) == want
