@@ -16,24 +16,14 @@ inhomogeneous degenerate hypergeometric ODEs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Dict
 
 from dp3.monodromy import ProblemParams
-from dp3.series import (
-    irreglog_coeffs,
-    power_coeffs,
-    reglog_coeffs,
-)
+from dp3.series import _XP, _binom, irreglog_coeffs, power_coeffs, reglog_coeffs
 
 __all__ = ["GeneratingFunction", "genfun", "a2_residues"]
-
-
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def _poly_mul(p, q):
@@ -539,7 +529,24 @@ def genfun(
     if family == "power":
         if sigma is None or b11 is None:
             raise ValueError("power family needs sigma and b11")
-        return _power_gf(n, params, complex(sigma), complex(b11))
+        if n > 2:
+            return _power_gf(n, params, complex(sigma), complex(b11))
+        # the closed forms cancel digits near sigma = -2 (up to 1e-11 in
+        # double), so they run in extended precision
+        xp = SimpleNamespace(a=_XP(params.a), beff=_XP(params.beff))
+        g = _power_gf(n, xp, _XP(sigma), _XP(b11))
+
+        def builtin(v):
+            if isinstance(v, dict):
+                return {k: builtin(x) for k, x in v.items()}
+            return complex(v) if isinstance(v, _XP) else v
+
+        return replace(
+            g,
+            closed_form=builtin(g.closed_form),
+            _taylor=lambda kmax: builtin(g.taylor(kmax)),
+            _value=lambda x: complex(g.value(x)),
+        )
     if family == "reglog":
         if c is None:
             raise ValueError("reglog family needs c")

