@@ -53,14 +53,21 @@ class SolutionState:
 class IntegrateOptions:
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 400_000
-    # guards at |u*tau| = scale/guard_eta and scale*guard_eta; `integrate`
-    # refreshes the scale to the median of each segment only when called
-    # without a fixed guard_scale (continue_through, pole_census and
-    # detect_and_step_over pass one)
-    guard_eta: float = 1e-6
-    record_cap: int = 250_000
-    fit_points: int = 10
+
+
+# guards at |u*tau| = scale/_GUARD_ETA and scale*_GUARD_ETA; `integrate`
+# refreshes the scale to the median of each segment only when called
+# without a fixed guard_scale (continue_through, pole_census and
+# detect_and_step_over pass one)
+_GUARD_ETA = 1e-6
+# trailing trace points the local-expansion fit reads
+_FIT_POINTS = 10
+# a fit residual above this is not a pole or zero of the known kinds
+_FIT_RESIDUAL_MAX = 1e-4
+# singularities continue_through steps over before it gives up
+_MAX_DETECTIONS = 64
+# the census detour rotates its leg out of the pole ray by this angle
+_DETOUR_ANGLE = 0.35
 
 
 class LocalKind(Enum):
@@ -144,12 +151,8 @@ def integrate(
     opts = opts or IntegrateOptions()
     eps = params.epsilon
     taus = [complex(start.tau)] + [complex(t) for t in path]
-    cap = opts.record_cap
-    buf_tau = np.empty(cap, dtype=complex)
-    buf_u = np.empty(cap, dtype=complex)
-    buf_du = np.empty(cap, dtype=complex)
-    buf_phi = np.empty(cap, dtype=complex)
-    all_t, all_u, all_d, all_p = [], [], [], []
+    # tau, u, du, phi of every recorded point, flat (segment starts included)
+    rec = []
     # builtin scalars: a numpy scalar would turn every operation of the
     # pure-Python kernel into a slower numpy dispatch
     u, du, phi = complex(start.u), complex(start.du), complex(start.phi)
@@ -159,9 +162,8 @@ def integrate(
     for t0, t1 in zip(taus[:-1], taus[1:]):
         if t0 == t1:
             continue
-        umax = scale / opts.guard_eta
-        umin = scale * opts.guard_eta
-        status_code, nrec, s_end, u, du, phi = integrate_segment(
+        n0 = len(rec)
+        status_code, _nrec, s_end, u, du, phi = integrate_segment(
             t0,
             t1 - t0,
             u,
@@ -172,18 +174,10 @@ def integrate(
             float(eps),
             opts.rtol,
             opts.atol,
-            opts.max_steps,
-            umax,
-            umin,
-            buf_tau,
-            buf_u,
-            buf_du,
-            buf_phi,
+            scale / _GUARD_ETA,
+            scale * _GUARD_ETA,
+            rec,
         )
-        all_t.append(buf_tau[:nrec].copy())
-        all_u.append(buf_u[:nrec].copy())
-        all_d.append(buf_du[:nrec].copy())
-        all_p.append(buf_phi[:nrec].copy())
         if status_code in (STATUS["max_steps"], STATUS["step_underflow"]):
             raise SingularitySuspected(
                 f"integrator stalled near tau = {t0 + s_end * (t1 - t0)}",
@@ -193,17 +187,12 @@ def integrate(
             break
         if guard_scale is None:
             # refresh the guard scale with the segment history
-            seg = np.abs(all_u[-1] * all_t[-1])
-            if seg.size:
-                scale = float(np.median(seg))
+            seg = np.array(rec[n0:])
+            scale = float(np.median(np.abs(seg[1::4] * seg[0::4])))
+    if not rec:
+        raise ValueError("the path has no segment of nonzero length")
     name = {v: k for k, v in STATUS.items()}[status_code]
-    return Trace(
-        np.concatenate(all_t),
-        np.concatenate(all_u),
-        np.concatenate(all_d),
-        np.concatenate(all_p),
-        name,
-    )
+    return Trace(*(np.array(rec[i::4], dtype=complex) for i in range(4)), name)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +275,13 @@ def _gauss_newton(resid_jac, theta, iters=30, tol=1e-14):
 
 
 def fit_local_expansion(
-    trace: Trace, params: ProblemParams, kind_hint: str | None = None, n_fit: int = 10
+    trace: Trace, params: ProblemParams, kind_hint: str | None = None
 ) -> LocalExpansion:
     """Fit the matching local expansion to the trailing trace points."""
     eps = params.epsilon
     beff = params.beff
     a = params.a
-    n = min(n_fit, trace.tau.size)
+    n = min(_FIT_POINTS, trace.tau.size)
     taus = trace.tau[-n:]
     us = eps * trace.u[-n:]  # eps-normalized values
     dus = eps * trace.du[-n:]
@@ -360,7 +349,6 @@ def detect_and_step_over(
     params: ProblemParams,
     target: complex,
     opts: IntegrateOptions | None = None,
-    residual_threshold: float = 1e-4,
 ):
     """Fit the singularity the trace ran into and continue past it.
 
@@ -381,10 +369,9 @@ def detect_and_step_over(
     start and the branch point tau = 0), which keeps the arc clear of both
     the cancellation and the neighbouring singularities.
     """
-    opts = opts or IntegrateOptions()
     kind_hint = "pole" if trace.status == "pole_guard" else "zero"
-    det = fit_local_expansion(trace, params, kind_hint, opts.fit_points)
-    if det.fit_residual > residual_threshold:
+    det = fit_local_expansion(trace, params, kind_hint)
+    if det.fit_residual > _FIT_RESIDUAL_MAX:
         raise UnknownSingularityError(
             f"local fit residual {det.fit_residual:.2e} at {det.center}"
         )
@@ -434,12 +421,10 @@ def continue_through(
     params: ProblemParams,
     path,
     opts: IntegrateOptions | None = None,
-    max_detections: int = 64,
 ):
     """Integrate along the waypoints, stepping over poles/zeros as found.
 
     Returns (end_state, detections, traces)."""
-    opts = opts or IntegrateOptions()
     state = start
     remaining = [complex(t) for t in path]
     detections = []
@@ -448,7 +433,7 @@ def continue_through(
     # guard scale for the whole run (rolling medians get polluted by the
     # step clustering near each pole)
     scale = abs(start.u * start.tau)
-    for _ in range(max_detections + 1):
+    for _ in range(_MAX_DETECTIONS + 1):
         tr = integrate(state, params, remaining, opts, guard_scale=scale)
         traces.append(tr)
         if tr.status == "done":
@@ -473,7 +458,6 @@ def pole_census(
     params: ProblemParams,
     chart,
     opts: IntegrateOptions | None = None,
-    detour_angle: float = 0.35,
 ):
     """Probe-and-detour census of the predicted pole discs.
 
@@ -484,9 +468,9 @@ def pole_census(
     continuation never crosses a singularity, so no re-seeding error
     accumulates.  Returns (detections, zero_detections, probes_clean).
     """
-    opts = opts or IntegrateOptions()
     scale = abs(start.u * start.tau)
-    shrink = math.exp(-PI_HALF_OVER(chart.varkappa))
+    shrink = math.exp(-math.pi / (2.0 * abs(chart.varkappa)))
+    rot = cmath.exp(1j * _DETOUR_ANGLE)
     state = start
     detections = []
     zeros = []
@@ -496,16 +480,15 @@ def pole_census(
         # probe: run straight at the disc until the guard fires
         tr = integrate(state, params, [tau_p], opts, guard_scale=scale)
         if tr.status == "zero_guard":
-            det = fit_local_expansion(tr, params, "zero", opts.fit_points)
+            det = fit_local_expansion(tr, params, "zero")
             zeros.append(det)
             clean = False
         elif tr.status == "pole_guard":
-            det = fit_local_expansion(tr, params, "pole", opts.fit_points)
+            det = fit_local_expansion(tr, params, "pole")
             detections.append(det)
         else:
             clean = False
         # detour: continue the pre-probe state around the disc
-        rot = cmath.exp(1j * detour_angle)
         leg = integrate(
             state,
             params,
@@ -520,10 +503,6 @@ def pole_census(
             )
         state = leg.end_state
     return detections, zeros, clean
-
-
-def PI_HALF_OVER(k: float) -> float:
-    return math.pi / (2.0 * abs(k))
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +570,12 @@ def lattice_orbit(
     def a_n(n):
         return params.a + 1j * n
 
-    def jets(n):
-        pn = replace(params, a=a_n(n))
-        d2 = u_second(taus, u[n], du[n], pn)
-        d3 = u_third(taus, u[n], du[n], d2, pn)
-        return d2, d3
-
     v = {n: u[n] / taus for n in u}
     dv = {n: du[n] / taus - u[n] / taus**2 for n in u}
     d2v = {}
-    d2u = {}
-    d3u = {}
     for n in u:
-        d2u[n], d3u[n] = jets(n)
-        d2v[n] = d2u[n] / taus - 2 * du[n] / taus**2 + 2 * u[n] / taus**3
+        d2u = u_second(taus, u[n], du[n], replace(params, a=a_n(n)))
+        d2v[n] = d2u / taus - 2 * du[n] / taus**2 + 2 * u[n] / taus**3
 
     # The three derivative identities below carry the i/sign factors that
     # follow from the Backlund maps themselves (substituting u_{n+-1} and

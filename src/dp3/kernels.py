@@ -2,28 +2,23 @@
 
 This is the one hot numeric loop of the package: stepping the first-order
 system y = (u, u', phi) along a straight segment tau(s) = tau0 + s*dtau,
-with embedded Dormand-Prince error control and pole/zero guards.
-
-The kernel is compiled with numba when available (the optional `jit`
-extra); setting DP3_NUMBA=0, or a missing numba install, selects the
-identical pure-Python path.  The benchmark's `poles` workload reports
-the microseconds per accepted step of whichever path ran
+with embedded Dormand-Prince error control and pole/zero guards.  The
+benchmark's `poles` workload reports its microseconds per accepted step
 (`python3 perfbench/run.py --workload poles --trace 1`).
 
-The pure-Python path keeps every value a builtin float or complex (the
-caller passes builtin scalars, and the error norm uses math.sqrt): one
-numpy scalar in the state would make each operation a numpy dispatch at
-about three times the cost.  The first-same-as-last stage k7 of an
-accepted step is the next step's k1, so each attempt evaluates the
-right-hand side six times instead of seven.  Together these took the
-pure-Python path from 44 to 17 us per accepted step on the `poles`
+The kernel is plain Python and keeps every value a builtin float or
+complex (the caller passes builtin scalars, and the error norm uses
+math.sqrt): one numpy scalar in the state would make each operation a
+numpy dispatch at about three times the cost.  The first-same-as-last
+stage k7 of an accepted step is the next step's k1, so each attempt
+evaluates the right-hand side six times instead of seven.  Together these
+took the kernel from 44 to 17 us per accepted step on the `poles`
 workload (Xeon, Python 3.11, numpy 2.4), with the same steps.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 __all__ = ["integrate_segment", "NUMBA_ENABLED", "STATUS"]
 
@@ -34,6 +29,13 @@ STATUS = {
     "max_steps": 3,
     "step_underflow": 4,
 }
+
+# the kernel has one (pure-Python) backend; perfbench's environment record
+# reads this flag
+NUMBA_ENABLED = False
+
+# accepted-or-rejected step attempts per segment before "max_steps"
+_MAX_STEPS = 400_000
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0
@@ -60,42 +62,24 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-def _integrate_segment_impl(
-    tau0,
-    dtau,
-    u0,
-    du0,
-    phi0,
-    a,
-    b,
-    eps,
-    rtol,
-    atol,
-    max_steps,
-    umax,
-    umin,
-    rec_tau,
-    rec_u,
-    rec_du,
-    rec_phi,
+def integrate_segment(
+    tau0, dtau, u0, du0, phi0, a, b, eps, rtol, atol, umax, umin, rec
 ):
     """Integrate s: 0 -> 1 along tau = tau0 + s*dtau.
 
-    umax/umin are the pole/zero guard thresholds on |u*tau|.  Records
-    accepted steps into the rec_* buffers; returns
-    (status, n_recorded, s_reached, u, du, phi).
+    umax/umin are the pole/zero guard thresholds on |u*tau|.  Appends the
+    start point and every accepted step to the flat list rec as
+    tau, u, du, phi; returns (status, n_recorded, s_reached, u, du, phi),
+    where n_recorded counts the points this call appended.
     """
     s = 0.0
     u = u0
     du = du0
     phi = phi0
     h = 1e-3
-    nrec = 0
-    rec_tau[nrec] = tau0
-    rec_u[nrec] = u
-    rec_du[nrec] = du
-    rec_phi[nrec] = phi
-    nrec += 1
+    n0 = len(rec)
+    rec += (tau0, u, du, phi)
+    status = 3  # "max_steps", unless a break below sets another code
     twoab = 2.0 * a * b
     b2 = b * b
     eight_eps = 8.0 * eps
@@ -107,9 +91,10 @@ def _integrate_segment_impl(
     ) * dtau
     k1p = (2.0 * a / tau0 + b / u) * dtau
 
-    for _step in range(max_steps):
+    for _step in range(_MAX_STEPS):
         if s >= 1.0:
-            return 0, nrec, s, u, du, phi
+            status = 0
+            break
         if h > 1.0 - s:
             h = 1.0 - s
 
@@ -194,25 +179,22 @@ def _integrate_segment_impl(
             k1u = k7u
             k1d = k7d
             k1p = k7p
-            if nrec < rec_tau.shape[0]:
-                rec_tau[nrec] = tau0 + s * dtau
-                rec_u[nrec] = u
-                rec_du[nrec] = du
-                rec_phi[nrec] = phi
-                nrec += 1
+            taunow = tau0 + s * dtau
+            rec += (taunow, u, du, phi)
             # guards on |u*tau| plus a local distance estimate: a second-order
             # pole has |2u/u'| -> 0 and a first-order zero has |u/u'| -> 0,
             # while smooth growth/decay keeps both comparable to |tau| (this
             # suppresses spurious trips when the natural |u*tau| scale drifts
             # over a long run)
-            taunow = tau0 + s * dtau
             aut = abs(u) * abs(taunow)
             if aut > umax:
                 if abs(2.0 * u) < 0.05 * abs(du) * abs(taunow) or aut > 1e6 * umax:
-                    return 1, nrec, s, u, du, phi
+                    status = 1
+                    break
             if aut < umin:
                 if abs(u) < 0.05 * abs(du) * abs(taunow) or aut < 1e-6 * umin:
-                    return 2, nrec, s, u, du, phi
+                    status = 2
+                    break
         fac = 2.0 if err == 0.0 else 0.9 * err ** (-0.2)
         if fac > 5.0:
             fac = 5.0
@@ -220,21 +202,6 @@ def _integrate_segment_impl(
             fac = 0.2
         h *= fac
         if h < 1e-14:
-            return 4, nrec, s, u, du, phi
-    return 3, nrec, s, u, du, phi
-
-
-NUMBA_ENABLED = False
-integrate_segment = _integrate_segment_impl
-
-if os.environ.get("DP3_NUMBA", "1") != "0":
-    try:
-        import numba
-
-        integrate_segment = numba.njit(cache=True, fastmath=False)(
-            _integrate_segment_impl
-        )
-        NUMBA_ENABLED = True
-    except ImportError:  # taken wherever numba (the `jit` extra) is absent;
-        # DP3_NUMBA=0 never reaches this branch
-        pass
+            status = 4
+            break
+    return status, (len(rec) - n0) // 4, s, u, du, phi

@@ -521,20 +521,8 @@ def pn_coefficients(params: ProblemParams, middle: Dict[int, complex], N_max: in
     """p_N of the exp(i*phi) exponent for the middle-column families:
     p_N = (a/N) sum_k (2a/beff)^k sum_{M(k,N)} multinomial * prod b[2l+1,0]^m_l."""
     a, beff = params.a, params.beff
-    out: Dict[int, complex] = {}
-    for N in range(1, N_max + 1):
-        tot = 0j
-        for k in range(1, N + 1):
-            inner = 0j
-            for ms in summation_sets(k, N):
-                term = _multinomial(ms)
-                for ll, ml in enumerate(ms, start=1):
-                    if ml:
-                        term *= middle[ll] ** ml
-                inner += term
-            tot += (2 * a / beff) ** k * inner
-        out[N] = a / N * tot
-    return out
+    sums = inverse_power_sums(middle, 2 * a / beff, N_max)
+    return {N: a / N * tot for N, tot in sums.items()}
 
 
 def inverse_power_sums(ratios: Dict[int, complex], weight: complex, n_max: int):
