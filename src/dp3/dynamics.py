@@ -55,11 +55,6 @@ class IntegrateOptions:
     atol: float = 1e-12
 
 
-# guards at |u*tau| = scale/_GUARD_ETA and scale*_GUARD_ETA; `integrate`
-# refreshes the scale to the median of each segment only when called
-# without a fixed guard_scale (continue_through, pole_census and
-# detect_and_step_over pass one)
-_GUARD_ETA = 1e-6
 # trailing trace points the local-expansion fit reads
 _FIT_POINTS = 10
 # a fit residual above this is not a pole or zero of the known kinds
@@ -140,7 +135,6 @@ def integrate(
     params: ProblemParams,
     path,
     opts: IntegrateOptions | None = None,
-    guard_scale: float | None = None,
 ):
     """Integrate along the straight segments start.tau -> path[0] -> ...
 
@@ -156,13 +150,10 @@ def integrate(
     # builtin scalars: a numpy scalar would turn every operation of the
     # pure-Python kernel into a slower numpy dispatch
     u, du, phi = complex(start.u), complex(start.du), complex(start.phi)
-    # guard scale in |u*tau| units (bounded along singularity-free paths)
-    scale = float(guard_scale if guard_scale is not None else abs(u * taus[0]))
     status_code = 0
     for t0, t1 in zip(taus[:-1], taus[1:]):
         if t0 == t1:
             continue
-        n0 = len(rec)
         status_code, _nrec, s_end, u, du, phi = integrate_segment(
             t0,
             t1 - t0,
@@ -174,8 +165,6 @@ def integrate(
             float(eps),
             opts.rtol,
             opts.atol,
-            scale / _GUARD_ETA,
-            scale * _GUARD_ETA,
             rec,
         )
         if status_code in (STATUS["max_steps"], STATUS["step_underflow"]):
@@ -185,10 +174,6 @@ def integrate(
             )
         if status_code != 0:
             break
-        if guard_scale is None:
-            # refresh the guard scale with the segment history
-            seg = np.array(rec[n0:])
-            scale = float(np.median(np.abs(seg[1::4] * seg[0::4])))
     if not rec:
         raise ValueError("the path has no segment of nonzero length")
     name = {v: k for k, v in STATUS.items()}[status_code]
@@ -263,15 +248,31 @@ def _zero_model_d(d, center, U3, a, beff, sign):
     return s * beff + 2 * c2 * d + 3 * U3 * d * d + 4 * c4 * d**3
 
 
-def _gauss_newton(resid_jac, theta, iters=30, tol=1e-14):
-    for _ in range(iters):
-        r, J = resid_jac(theta)
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        theta = theta + step
-        if np.max(np.abs(step)) < tol * max(1.0, np.max(np.abs(theta))):
+def _gauss_newton(resid_jac, theta):
+    """Least-squares fit of theta; returns (theta, RMS residual).
+
+    Each column of the Jacobian is divided by its largest entry before the
+    solve, since near a pole the center column exceeds the free parameter's
+    by ~1e15, past lstsq's rank cut-off.  Stops once an iteration lowers
+    the RMS residual by less than 10%, keeping the best iterate.
+    """
+    r, J = resid_jac(theta)
+    rms = float(np.sqrt(np.mean(np.abs(r) ** 2)))
+    for _ in range(30):
+        cols = np.max(np.abs(J), axis=0)
+        # an all-zero column (the zero fit's U3 column at a zero-guard trip)
+        # stays unscaled: dividing by its zero max would put NaN into lstsq
+        cols[cols == 0] = 1.0
+        step, *_ = np.linalg.lstsq(J / cols, -r, rcond=None)
+        trial = theta + step / cols
+        r, J = resid_jac(trial)
+        new = float(np.sqrt(np.mean(np.abs(r) ** 2)))
+        if not new < rms:
             break
-    r, _ = resid_jac(theta)
-    return theta, float(np.sqrt(np.mean(np.abs(r) ** 2)))
+        theta, rms, old = trial, new, rms
+        if new > 0.9 * old:
+            break
+    return theta, rms
 
 
 def fit_local_expansion(
@@ -361,13 +362,14 @@ def detect_and_step_over(
     the side).  Returns (LocalExpansion, SolutionState past the center).
 
     The arc does not start where the guard fired: there the terms u'^2/u
-    and b^2/u of the right-hand side are huge and cancel (near a zero, the
-    guard trips ~1e-8 from the center), so every step on a small arc loses
-    digits that no rtol recovers.  It starts from the last trace point at
-    least _ARC_BACKOFF * min(|trace start - center|, |center|) from the
-    center -- a distance set by the singularity's surroundings (the segment
-    start and the branch point tau = 0), which keeps the arc clear of both
-    the cancellation and the neighbouring singularities.
+    and b^2/u of the right-hand side are huge and cancel (the zero guard
+    trips ~1e-6*|tau| from the center, the pole guard ~1e-2*|tau|), so
+    every step on a small arc loses digits that no rtol recovers.  It
+    starts from the last trace point at least
+    _ARC_BACKOFF * min(|trace start - center|, |center|) from the center --
+    a distance set by the singularity's surroundings (the segment start and
+    the branch point tau = 0), which keeps the arc clear of both the
+    cancellation and the neighbouring singularities.
     """
     kind_hint = "pole" if trace.status == "pole_guard" else "zero"
     det = fit_local_expansion(trace, params, kind_hint)
@@ -392,28 +394,12 @@ def detect_and_step_over(
             dth += 2 * math.pi
     nseg = max(8, int(abs(dth) / 0.25) + 1)
     way = [c + r_arc * cmath.exp(1j * (th0 + dth * k / nseg)) for k in range(nseg + 1)]
-    # |u| is nearly constant on the arc, so its start sets the guard scale
-    scale = abs(arc0.u * arc0.tau)
-    tr = integrate(arc0, params, way, opts, guard_scale=scale)
+    tr = integrate(arc0, params, way, opts)
     if tr.status != "done":
         raise UnknownSingularityError(
             f"arc continuation around {c} hit {tr.status} at {tr.tau[-1]}"
         )
     return det, tr.end_state
-
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(48)
-
-
-def _phi_quadrature(t0, t1, umodel, params):
-    a, b = params.a, params.b
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * (t1 - t0)
-    total = 0j
-    for x, w in zip(_GL_X, _GL_W):
-        t = mid + half * x
-        total += w * (2 * a / t + b / umodel(t))
-    return total * half
 
 
 def continue_through(
@@ -429,12 +415,8 @@ def continue_through(
     remaining = [complex(t) for t in path]
     detections = []
     traces = []
-    # the seed sits on a singularity-free stretch: its |u*tau| sets the
-    # guard scale for the whole run (rolling medians get polluted by the
-    # step clustering near each pole)
-    scale = abs(start.u * start.tau)
     for _ in range(_MAX_DETECTIONS + 1):
-        tr = integrate(state, params, remaining, opts, guard_scale=scale)
+        tr = integrate(state, params, remaining, opts)
         traces.append(tr)
         if tr.status == "done":
             return tr.end_state, detections, traces
@@ -468,7 +450,6 @@ def pole_census(
     continuation never crosses a singularity, so no re-seeding error
     accumulates.  Returns (detections, zero_detections, probes_clean).
     """
-    scale = abs(start.u * start.tau)
     shrink = math.exp(-math.pi / (2.0 * abs(chart.varkappa)))
     rot = cmath.exp(1j * _DETOUR_ANGLE)
     state = start
@@ -478,7 +459,7 @@ def pole_census(
     for p_idx, tau_p in enumerate(chart.tau_p):
         mid_below = tau_p * math.sqrt(shrink)
         # probe: run straight at the disc until the guard fires
-        tr = integrate(state, params, [tau_p], opts, guard_scale=scale)
+        tr = integrate(state, params, [tau_p], opts)
         if tr.status == "zero_guard":
             det = fit_local_expansion(tr, params, "zero")
             zeros.append(det)
@@ -489,13 +470,8 @@ def pole_census(
         else:
             clean = False
         # detour: continue the pre-probe state around the disc
-        leg = integrate(
-            state,
-            params,
-            [state.tau * rot, mid_below * rot, mid_below],
-            opts,
-            guard_scale=scale,
-        )
+        detour = [state.tau * rot, mid_below * rot, mid_below]
+        leg = integrate(state, params, detour, opts)
         if leg.status != "done":
             raise SingularitySuspected(
                 f"detour around disc {p_idx} hit a guard ({leg.status})",
@@ -520,9 +496,6 @@ class LatticeOrbit:
 
     def v(self, n: int) -> np.ndarray:
         return self.u[n] / self.taus
-
-    def x_grid(self) -> np.ndarray:
-        return -2 * self.taus**2 / self.beff
 
     def w(self, n: int) -> np.ndarray:
         return self.v(n) * self.v(n + 1)

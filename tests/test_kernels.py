@@ -14,7 +14,7 @@ def test_python_kernel_returns_builtin_scalars():
     rec = []
     status, nrec, s, u, du, phi = kernels.integrate_segment(
         0.1 + 0j, 0.05 + 0.01j, 0.4 + 0.1j, 0.2 - 0.3j, 0j,
-        0.25 + 0.1j, 1.0, 1.0, 1e-10, 1e-12, 1e8, 1e-8, rec,
+        0.25 + 0.1j, 1.0, 1.0, 1e-10, 1e-12, rec,
     )
     assert status == kernels.STATUS["done"] and nrec > 2
     assert type(s) is float
@@ -30,7 +30,7 @@ def test_integrate_hands_builtin_scalars_to_kernel(monkeypatch):
     inner = dynamics.integrate_segment
 
     def spy(*args):
-        seen.append(args[:12])
+        seen.append(args[:10])
         return inner(*args)
 
     monkeypatch.setattr(dynamics, "integrate_segment", spy)
@@ -40,9 +40,8 @@ def test_integrate_hands_builtin_scalars_to_kernel(monkeypatch):
     assert type(start.u) is np.complex128
     opts = IntegrateOptions(rtol=1e-10)
     integrate(start, params, [0.12, 0.15], opts)
-    integrate(start, params, [0.12], opts, guard_scale=np.abs(vals[1] * vals[0]))
-    assert len(seen) == 3
-    want = (complex,) * 6 + (float,) * 6
+    assert len(seen) == 2
+    want = (complex,) * 6 + (float,) * 4
     for args in seen:
         assert tuple(type(v) for v in args) == want
 

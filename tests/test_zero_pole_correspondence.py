@@ -68,7 +68,7 @@ def test_image_endpoint_covariance_through_the_singular_site():
     # the attainable agreement is set by the integration tolerance alone:
     # each step-over arc starts a safe distance from the fitted centre,
     # where the right-hand side's u'^2/u and b^2/u terms no longer cancel
-    # catastrophically (the zero guard trips ~1e-8 from the centre)
+    # catastrophically (the zero guard trips ~1e-6*|tau| from the centre)
     assert err_u < 1e-8
     assert err_du < 1e-8
 
@@ -79,6 +79,42 @@ def test_covariance_error_converges_with_rtol():
     tight = _covariance_errors(1e-12)
     assert tight[0] * 10 < loose[0], (loose[:2], tight[:2])
     assert tight[1] * 10 < loose[1], (loose[:2], tight[:2])
+
+
+def _image_and_its_zero():
+    # the ZeroPlus image of the pole-regime seed, and the zero that
+    # continue_through locates where the original solution has its pole
+    params, chart, st = _pole_regime_seed()
+    img, pimg = backlund_fn(st, params, -1)
+    mid = chart.tau_p[0] * cmath.exp(-math.pi / (4 * chart.varkappa))
+    _, dets, _ = continue_through(img, pimg, [mid], IntegrateOptions(rtol=1e-12))
+    assert dets[0].kind is LocalKind.ZERO_PLUS
+    return img, pimg, dets[0].center, abs(mid - img.tau)
+
+
+def _segment_end(start, center, length, miss):
+    # end of a straight segment from start.tau whose closest approach to
+    # center is miss
+    gap = center - start.tau
+    return start.tau + length * gap / abs(gap) * cmath.exp(1j * math.asin(miss / abs(gap)))
+
+
+def test_zero_guard_lets_a_near_passage_through():
+    # the zero guard trips on |u/u'| < 1e-6*|tau| alone; a straight path that
+    # passes a zero at 4e-5*|c| (as solve seed 21 item 37 does) runs on
+    img, pimg, c, length = _image_and_its_zero()
+    end = _segment_end(img, c, length, 4e-5 * abs(c))
+    tr = integrate(img, pimg, [end], IntegrateOptions(rtol=1e-12))
+    assert tr.status == "done"
+    assert np.min(np.abs(tr.tau - c)) < 4.1e-5 * abs(c)
+
+
+def test_zero_guard_trips_on_a_segment_aimed_at_the_zero():
+    img, pimg, c, length = _image_and_its_zero()
+    end = _segment_end(img, c, length, 0.0)
+    tr = integrate(img, pimg, [end], IntegrateOptions(rtol=1e-12))
+    assert tr.status == "zero_guard"
+    assert abs(tr.tau[-1] - c) < 2e-6 * abs(c)
 
 
 def test_long_outward_run_without_spurious_guards():
