@@ -97,32 +97,20 @@ class SeriesExpansion:
     seeds: dict
     coeffs: Dict[Tuple[int, int], complex]
     K: int
-    M: int | None = None
 
     def algebra_terms(self) -> Series:
         """Coefficients as graded-algebra terms (of eps*u)."""
-        out: Series = {}
-        if self.kind is ExpansionKind.POWER_LIKE:
-            for (k, m), c in self.coeffs.items():
-                out[(2 * k - 1, m, 0)] = c
-        elif self.kind is ExpansionKind.REGULAR_LOG:
-            for (k, m), c in self.coeffs.items():
-                out[(2 * k - 1, 0, m)] = c
-        else:
-            for (k, m), c in self.coeffs.items():
-                out[(2 * k - 1, 0, -m)] = c
-        return out
+        return {_term_key(self.kind, k, m): c for (k, m), c in self.coeffs.items()}
 
-    def level_terms(self, k: int) -> Series:
-        if self.kind is ExpansionKind.POWER_LIKE:
-            return {(2 * k - 1, m, 0): c for (k_, m), c in self.coeffs.items() if k_ == k}
-        if self.kind is ExpansionKind.REGULAR_LOG:
-            return {(2 * k - 1, 0, m): c for (k_, m), c in self.coeffs.items() if k_ == k}
-        return {(2 * k - 1, 0, -m): c for (k_, m), c in self.coeffs.items() if k_ == k}
 
-    @property
-    def levels(self) -> list[int]:
-        return sorted({k for (k, _m) in self.coeffs})
+def _term_key(kind: ExpansionKind, k: int, m: int) -> Tuple[int, int, int]:
+    """Graded-algebra key (p, m, j) of table entry (k, m): the term
+    tau^(p + m*sigma) log(tau)^j."""
+    if kind is ExpansionKind.POWER_LIKE:
+        return (2 * k - 1, m, 0)
+    if kind is ExpansionKind.REGULAR_LOG:
+        return (2 * k - 1, 0, m)
+    return (2 * k - 1, 0, -m)
 
 
 @dataclass
@@ -132,24 +120,6 @@ class EvalResult:
     order_estimate: float
     level_mags: list[float]
     divergent: bool
-
-
-def _term_value(key, coeff, tau, logtau, sigma):
-    p, m, j = key
-    e = p + (m * sigma if m else 0)
-    v = coeff * tau**e
-    if j:
-        v *= logtau**j
-    return v
-
-
-def _term_derivative(key, coeff, tau, logtau, sigma):
-    p, m, j = key
-    e = p + (m * sigma if m else 0)
-    v = coeff * e * tau ** (e - 1)
-    if j:
-        v = v * logtau**j + coeff * j * tau ** (e - 1) * logtau ** (j - 1)
-    return v
 
 
 def eval_expansion(exp: SeriesExpansion, tau: complex) -> EvalResult:
@@ -166,18 +136,25 @@ def eval_expansion(exp: SeriesExpansion, tau: complex) -> EvalResult:
     logtau = cmath.log(tau)
     sig = exp.sigma if exp.sigma is not None else 0j
     eps = exp.params.epsilon
+    lv: Dict[int, complex] = {}
+    dlv: Dict[int, complex] = {}
+    for (k, mk), c in exp.coeffs.items():
+        p, m, j = _term_key(exp.kind, k, mk)
+        e = p + (m * sig if m else 0)
+        v = c * tau**e
+        d = c * e * tau ** (e - 1)
+        if j:
+            v *= logtau**j
+            d = d * logtau**j + c * j * tau ** (e - 1) * logtau ** (j - 1)
+        lv[k] = lv.get(k, 0j) + v
+        dlv[k] = dlv.get(k, 0j) + d
     total = 0j
     dtotal = 0j
     mags = []
-    for k in exp.levels:
-        lv = 0j
-        dlv = 0j
-        for key, c in exp.level_terms(k).items():
-            lv += _term_value(key, c, tau, logtau, sig)
-            dlv += _term_derivative(key, c, tau, logtau, sig)
-        total += lv
-        dtotal += dlv
-        mags.append(abs(lv))
+    for k in sorted(lv):
+        total += lv[k]
+        dtotal += dlv[k]
+        mags.append(abs(lv[k]))
     divergent = any(
         m2 > 0.5 * m1 for m1, m2 in zip(mags, mags[1:]) if m1 > 0
     )
@@ -317,22 +294,16 @@ def power_coeffs(
     # The seed rescaling b[2k-1,m] -> lam^m b[2k-1,m] is an exact symmetry.
     # A coefficient comes out with full relative accuracy in a gauge where
     # it is prominent within its level (absolute solver error scales with
-    # the level maximum).  Build in the growth-balanced gauge and the two
-    # edge-flattened gauges and keep, per coefficient, the most prominent
-    # determination.
+    # the level maximum).  Build in the two edge-flattened gauges, in which
+    # the edge b[2k-1,k] resp. b[2k-1,-k] grows only linearly in k, and keep,
+    # per coefficient, the more prominent determination.  A third, growth-
+    # balanced gauge cost a third more and bought nothing measurable: without
+    # it the n <= 2 diagonals over 4,600 `tables` draws keep their worst
+    # error of 6.6e-14, and against the level systems solved at 60 digits the
+    # worst coefficient over 16 draws (sigma -> -2 included) stays 5.8e-14.
     if b11 != 0 and b1m1 != 0:
-        lam_bal = complex(
-            math.sqrt(
-                abs(b11) * abs(sigma - 2) ** 2 / (abs(b1m1) * abs(sigma + 2) ** 2)
-            )
-        )
-        gauges = [
-            lam_bal,
-            4 * b11 / (sigma + 2) ** 2,
-            (sigma - 2) ** 2 / (4 * b1m1),
-        ]
         best: Dict[Tuple[int, int], tuple] = {}
-        for lam in gauges:
+        for lam in (4 * b11 / (sigma + 2) ** 2, (sigma - 2) ** 2 / (4 * b1m1)):
             lam_x = _XP(lam)
             raw = build(b11 / lam, b1m1 * lam)
             lvl_max = {}
@@ -439,7 +410,6 @@ def irreglog_coeffs(
         {"ctilde": ctilde},
         coeffs,
         K,
-        M,
     )
 
 

@@ -246,12 +246,74 @@ def test_conjecture_structure_spot_checks():
         assert abs(exp2.coeffs[(0, m)] - want) < 1e-13 * max(1.0, abs(want))
 
 
-def test_eval_expansion_value_and_derivative(power_table):
+def _power_table_mp(a, sigma, b11, K):
+    """Power table of eps*u (beff = 1) with every level system solved at the
+    working mpmath precision: LevelRows on mpc scalars, the same unknowns and
+    rows as power_coeffs, normal equations (the systems are consistent)."""
+    a, sigma, b11 = mpmath.mpc(a), mpmath.mpc(sigma), mpmath.mpc(b11)
+    coeffs = {
+        (1, 1): b11,
+        (1, 0): 2 * a / sigma**2,
+        (1, -1): (4 * a**2 + sigma**2) / (4 * sigma**4 * b11),
+    }
+    u = {(1, m, 0): c for (_k, m), c in coeffs.items()}
+    for k in range(2, K + 1):
+        rows = LevelRows(u, a, mpmath.mpf(1), sigma)
+        base = rows.defect(2 * k - 2)
+        unknown = range(-k, k + 1)
+        row_keys = [(m, 0) for m in range(-k - 2, k + 3)]
+        mat = mpmath.matrix(len(row_keys), len(unknown))
+        for col, m in enumerate(unknown):
+            lin = rows.linearization((2 * k - 1, m, 0), 2 * k - 2)
+            for r, rk in enumerate(row_keys):
+                mat[r, col] = lin.get(rk, 0)
+        rhs = mpmath.matrix([-base.get(rk, 0) for rk in row_keys])
+        sol = mpmath.lu_solve(mat.H * mat, mat.H * rhs)
+        for col, m in enumerate(unknown):
+            coeffs[(k, m)] = u[(2 * k - 1, m, 0)] = sol[col]
+    return coeffs
+
+
+# (a, sigma, b11): perfbench tables draws 0/0 and 22/30 (sigma near -2)
+POWER_MP_IDS = ["tables-0-0", "tables-22-30"]
+POWER_MP_POINTS = [
+    (
+        0.21913869971432698 - 0.36834125797780753j,
+        -1.6524953138296992 - 0.580166837365765j,
+        0.6265404784005448 + 0.8255111545554434j,
+    ),
+    (
+        -0.023695194953024412 + 0.6178063876221516j,
+        -1.778445700080713 - 0.1262128693452898j,
+        0.06859719126941077 + 0.9783020541426417j,
+    ),
+]
+
+
+@pytest.mark.parametrize("a,sigma,b11", POWER_MP_POINTS, ids=POWER_MP_IDS)
+def test_power_interior_coefficients_match_60_digit_level_solve(a, sigma, b11):
+    # every coefficient of levels 2..9, interior ones included, against the
+    # same level systems solved at 60 digits; pure relative error.  A level
+    # spans up to ~30 decades near sigma = -2 and the normal equations square
+    # that: at 40 digits the reference itself is off by 1.9e-15 at 22/30
+    exp = power_coeffs(ProblemParams(a, 1.0, 1), sigma, b11=b11, K=9)
+    with mpmath.workdps(60):
+        ref = _power_table_mp(a, sigma, b11, 9)
+        worst = max(
+            float(abs(exp.coeffs[km] - c) / abs(c)) for km, c in ref.items() if km[0] >= 2
+        )
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("table", ["power_table", "reglog_table", "irreglog_table"])
+def test_eval_expansion_value_and_derivative(table, request):
+    # the log tables reach the j != 0 derivative terms, with j < 0 (irreglog)
+    exp = request.getfixturevalue(table)
     tau = 2e-3
-    r = eval_expansion(power_table, tau)
+    r = eval_expansion(exp, tau)
     h = 1e-8 * tau
-    rp = eval_expansion(power_table, tau + h)
-    rm = eval_expansion(power_table, tau - h)
+    rp = eval_expansion(exp, tau + h)
+    rm = eval_expansion(exp, tau - h)
     fd = (rp.value - rm.value) / (2 * h)
     assert abs(fd - r.derivative) < 1e-6 * abs(r.derivative)
     assert not r.divergent

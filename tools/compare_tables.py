@@ -7,14 +7,16 @@ Each SEED:ITEMS argument names perfbench `tables` draws (ITEMS is one index
 or a range lo-hi).  For every draw both trees build the three tables that a
 `tables` item builds (power K=9, reglog K=8, irreglog K=6 M=12), each tree
 in its own interpreter with its own `src/` on the path.  The report gives,
-per family, how many coefficients differ at all and the largest relative
-difference, max(1, |c|) normalised.  A refactor that keeps the arithmetic
-reports 0 differing coefficients.
+per family, how many coefficients differ at all and the largest difference,
+both normalised by max(1, |c|) and purely relative (|c'-c|/|c|, which also
+shows changes on coefficients far below 1).  A refactor that keeps the
+arithmetic reports 0 differing coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,7 +76,7 @@ def main(argv):
     any_diff = False
     for fam in FAMILIES:
         total = ndiff = 0
-        worst = 0.0
+        worst = worst_rel = 0.0
         for draw in old:
             a = {(k, m): complex(re, im) for k, m, re, im in old[draw][fam]}
             b = {(k, m): complex(re, im) for k, m, re, im in new[draw][fam]}
@@ -84,9 +86,14 @@ def main(argv):
                 total += 1
                 if b[key] != c:
                     ndiff += 1
-                    worst = max(worst, abs(b[key] - c) / max(1.0, abs(c)))
+                    d = abs(b[key] - c)
+                    worst = max(worst, d / max(1.0, abs(c)))
+                    worst_rel = max(worst_rel, d / abs(c) if c else math.inf)
         any_diff |= ndiff > 0
-        print(f"{fam:9s} {ndiff} of {total} coefficients differ, max rel diff {worst:.2e}")
+        print(
+            f"{fam:9s} {ndiff} of {total} coefficients differ, "
+            f"max rel diff {worst:.2e} (pure relative {worst_rel:.2e})"
+        )
     return 1 if any_diff else 0
 
 
