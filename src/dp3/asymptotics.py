@@ -1064,7 +1064,7 @@ def uniform_seeds(profile: AsymptoticProfile):
         else:
             sigma = 4 * vr
             b1m1 = (1 - 2 * vr) ** 2 * w1 / w2
-            b11 = _other_seed(params, sigma, b1m1, flip=True)
+            b11 = _other_seed(params, sigma, b1m1)
         return sigma, b11, b1m1
     if tag is RegimeTag.SPECIAL_POWER_PLUS and "b1m1" in co:
         return co["sigma"], 0j, co["b1m1"]
@@ -1090,7 +1090,7 @@ def uniform_seeds(profile: AsymptoticProfile):
     raise DomainError(f"no uniform seeds for regime {tag}")
 
 
-def _other_seed(params, sigma, seed, flip=False):
+def _other_seed(params, sigma, seed):
     prod = params.beff**2 * (4 * params.a**2 + sigma**2) / (4 * sigma**4)
     return prod / seed if seed != 0 else 0j
 

@@ -19,7 +19,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "reglog_coeffs",
     "irreglog_coeffs",
     "eval_expansion",
-    "summation_sets",
     "PhiExpansion",
     "phi_series",
     "regrouped_taylor",
@@ -190,9 +188,14 @@ def _solve_level_lstsq(
     p_row: int,
     unknown_keys: list,
     row_keys: list,
+    gauges: tuple = (1,),
 ) -> dict:
-    """One level of a coupled family: least-squares solve of the (consistent,
-    slightly overdetermined) row system."""
+    """One level of a coupled family: the (consistent, slightly overdetermined)
+    row system, assembled once and least-squares solved in each gauge lam of the
+    exact symmetry b[2k-1,m] -> lam^m b[2k-1,m] (column m scaled by lam^m, row
+    m by lam^-m).  The absolute solver error scales with the level maximum, so
+    each unknown is read from the gauge where it is most prominent in its level.
+    """
     # the exponents p + m*sigma enter every derivative and cancel near
     # sigma = -2 (2k - 1 + k*sigma ~ 1); formed in double precision, that
     # cancellation alone costs the level-9 diagonals ~1e-11
@@ -204,25 +207,36 @@ def _solve_level_lstsq(
         for irow, rk in enumerate(row_keys):
             A[irow, jcol] = col.get(rk, 0j)
     rhs = np.array([-base.get(rk, 0j) for rk in row_keys], dtype=_XP)
-    A = A.astype(_XP)
-    # equilibrate: coefficient magnitudes span many decades across rows and
-    # columns (geometric growth in the seeds)
-    rsc = np.maximum(np.max(np.abs(A), axis=1), np.longdouble(1e-300))
-    As = A / rsc[:, None]
-    rs = rhs / rsc
-    csc = np.maximum(np.max(np.abs(As), axis=0), np.longdouble(1e-300))
-    As = As / csc[None, :]
-    sol = _qr_lstsq_xp(As, rs) / csc
-    # one refinement pass: conditions up to ~1e7 appear at awkward sigma
-    corr = _qr_lstsq_xp(As, rs - As @ (sol * csc)) / csc
-    sol = sol + corr
-    resid = float(np.max(np.abs(A @ sol - rhs)))
-    scale = float(max(np.max(np.abs(rhs)), 1e-30))
-    if resid > 1e-10 * scale:
-        raise ResonanceError(
-            f"inconsistent level system at tau-grade {p_row}: residual {resid:.2e}"
-        )
-    return dict(zip(unknown_keys, sol))
+    col_m = np.array([uk[0] for uk in unknown_keys])
+    row_m = np.array([rk[0] for rk in row_keys])
+    best = np.zeros(len(unknown_keys), dtype=_XP)
+    best_prom = np.full(len(unknown_keys), -1.0)
+    for lam in gauges:
+        cg = _XP(lam) ** col_m
+        rg = _XP(lam) ** -row_m
+        Ag = A * rg[:, None] * cg[None, :]
+        bg = rhs * rg
+        # equilibrate: coefficient magnitudes span many decades across rows
+        # and columns (geometric growth in the seeds)
+        rsc = np.maximum(np.max(np.abs(Ag), axis=1), np.longdouble(1e-300))
+        As = Ag / rsc[:, None]
+        rs = bg / rsc
+        csc = np.maximum(np.max(np.abs(As), axis=0), np.longdouble(1e-300))
+        As = As / csc[None, :]
+        sol = _qr_lstsq_xp(As, rs) / csc
+        # one refinement pass: conditions up to ~1e7 appear at awkward sigma
+        corr = _qr_lstsq_xp(As, rs - As @ (sol * csc)) / csc
+        sol = sol + corr
+        resid = float(np.max(np.abs(Ag @ sol - bg)))
+        if resid > 1e-10 * float(max(np.max(np.abs(bg)), 1e-30)):
+            raise ResonanceError(
+                f"inconsistent level system at tau-grade {p_row}: residual {resid:.2e}"
+            )
+        prom = np.abs(sol) / max(np.max(np.abs(sol)), np.longdouble(1e-300))
+        take = prom > best_prom
+        best[take] = (sol * cg)[take]
+        best_prom[take] = prom[take]
+    return dict(zip(unknown_keys, best))
 
 
 def power_coeffs(
@@ -268,54 +282,28 @@ def power_coeffs(
         if abs(b11 * b1m1 - prod) > 1e-10 * max(1.0, abs(prod)):
             raise ValueError("seeds violate the product constraint")
     b10 = 2 * a * beff / sigma**2
-
-    def build(s11, s1m1):
-        coeffs = {(1, 1): _XP(s11), (1, 0): _XP(b10), (1, -1): _XP(s1m1)}
-        u: Series = {(1, 0, 0): _XP(b10)}
-        if s11 != 0:
-            u[(1, 1, 0)] = _XP(s11)
-        if s1m1 != 0:
-            u[(1, -1, 0)] = _XP(s1m1)
-        # one-sided seeds keep their side exactly zero
-        m_lo = lambda k: -k if s1m1 != 0 or s11 == 0 else 0
-        m_hi = lambda k: k if s11 != 0 or s1m1 == 0 else 0
-        for k in range(2, K + 1):
-            unknown = [(m, 0) for m in range(m_lo(k), m_hi(k) + 1)]
-            rows = [(m, 0) for m in range(m_lo(k + 1) - 1, m_hi(k + 1) + 2)]
-            sol = _solve_level_lstsq(
-                u, a, beff, sigma, 2 * k - 1, 2 * k - 2, unknown, rows
-            )
-            for (m, _j), v in sol.items():
-                coeffs[(k, m)] = v
-                if v != 0:
-                    u[(2 * k - 1, m, 0)] = v
-        return coeffs
-
-    # The seed rescaling b[2k-1,m] -> lam^m b[2k-1,m] is an exact symmetry.
-    # A coefficient comes out with full relative accuracy in a gauge where
-    # it is prominent within its level (absolute solver error scales with
-    # the level maximum).  Build in the two edge-flattened gauges, in which
-    # the edge b[2k-1,k] resp. b[2k-1,-k] grows only linearly in k, and keep,
-    # per coefficient, the more prominent determination.  A third, growth-
-    # balanced gauge cost a third more and bought nothing measurable: without
-    # it the n <= 2 diagonals over 4,600 `tables` draws keep their worst
-    # error of 6.6e-14, and against the level systems solved at 60 digits the
-    # worst coefficient over 16 draws (sigma -> -2 included) stays 5.8e-14.
+    coeffs = {(1, 1): b11, (1, 0): b10, (1, -1): b1m1}
+    u: Series = {(1, 0, 0): _XP(b10)}
+    u.update({(1, m, 0): _XP(c) for m, c in ((1, b11), (-1, b1m1)) if c != 0})
+    # one-sided seeds keep their side exactly zero
+    m_lo = lambda k: -k if b1m1 != 0 or b11 == 0 else 0
+    m_hi = lambda k: k if b11 != 0 or b1m1 == 0 else 0
+    # A two-sided level is solved in the two edge-flattened gauges, in which
+    # the edge b[2k-1,k] resp. b[2k-1,-k] grows only linearly in k; a growth-
+    # balanced third gauge bought nothing measurable.
+    gauges = (1,)
     if b11 != 0 and b1m1 != 0:
-        best: Dict[Tuple[int, int], tuple] = {}
-        for lam in (4 * b11 / (sigma + 2) ** 2, (sigma - 2) ** 2 / (4 * b1m1)):
-            lam_x = _XP(lam)
-            raw = build(b11 / lam, b1m1 * lam)
-            lvl_max = {}
-            for (k, m), c in raw.items():
-                lvl_max[k] = max(lvl_max.get(k, 0.0), float(abs(c)))
-            for (k, m), c in raw.items():
-                prom = float(abs(c)) / lvl_max[k] if lvl_max[k] > 0 else 0.0
-                if (k, m) not in best or prom > best[(k, m)][0]:
-                    best[(k, m)] = (prom, complex(c * lam_x**m))
-        coeffs = {km: v for km, (_p, v) in best.items()}
-    else:
-        coeffs = {km: complex(c) for km, c in build(b11, b1m1).items()}
+        gauges = (4 * b11 / (sigma + 2) ** 2, (sigma - 2) ** 2 / (4 * b1m1))
+    for k in range(2, K + 1):
+        unknown = [(m, 0) for m in range(m_lo(k), m_hi(k) + 1)]
+        rows = [(m, 0) for m in range(m_lo(k + 1) - 1, m_hi(k + 1) + 2)]
+        sol = _solve_level_lstsq(
+            u, a, beff, sigma, 2 * k - 1, 2 * k - 2, unknown, rows, gauges
+        )
+        for (m, _j), v in sol.items():
+            coeffs[(k, m)] = complex(v)
+            if v != 0:
+                u[(2 * k - 1, m, 0)] = v
     return SeriesExpansion(
         ExpansionKind.POWER_LIKE,
         params,
@@ -417,32 +405,6 @@ def irreglog_coeffs(
 # exponent series for exp(i*phi)
 
 
-@lru_cache(maxsize=None)
-def summation_sets(k: int, N: int) -> tuple:
-    """All (m_1..m_N) with m_i >= 0, sum m_i = k and sum i*m_i = N."""
-    sols = []
-
-    def rec(i, rem_k, rem_N, acc):
-        if i > N:
-            if rem_k == 0 and rem_N == 0:
-                sols.append(tuple(acc))
-            return
-        # m_i can be at most min(rem_k, rem_N // i)
-        for mi in range(min(rem_k, rem_N // i) + 1):
-            rec(i + 1, rem_k - mi, rem_N - i * mi, acc + [mi])
-
-    rec(1, k, N, [])
-    return tuple(sols)
-
-
-def _multinomial(ms) -> float:
-    tot = sum(ms)
-    out = math.factorial(tot)
-    for m in ms:
-        out //= math.factorial(m)
-    return float(out)
-
-
 def regrouped_taylor(exp: SeriesExpansion, step: int, n_max: int) -> Dict[int, complex]:
     """Taylor coefficients of eps*u when sigma is the integer ``step``:
     the grading tau^(2k-1+m*step) collapses onto integer powers."""
@@ -496,23 +458,14 @@ def pn_coefficients(params: ProblemParams, middle: Dict[int, complex], N_max: in
 
 
 def inverse_power_sums(ratios: Dict[int, complex], weight: complex, n_max: int):
-    """sum_k weight^k sum_{M(k,n)} multinomial prod ratios[i]^(m_i), n=1..n_max.
+    """[x^n] of 1/(1 - weight*R(x)), R(x) = sum_i ratios[i] x^i, for n = 1..n_max:
+    sum_k weight^k sum_{M(k,n)} multinomial prod ratios[i]^(m_i).
 
     The common combinatorial core of the xi/nu/eta exponent series."""
-    out: Dict[int, complex] = {}
+    S = [1 + 0j]
     for n in range(1, n_max + 1):
-        tot = 0j
-        for k in range(1, n + 1):
-            inner = 0j
-            for ms in summation_sets(k, n):
-                term = _multinomial(ms)
-                for i, mi in enumerate(ms, start=1):
-                    if mi:
-                        term *= ratios.get(i, 0j) ** mi
-                inner += term
-            tot += weight**k * inner
-        out[n] = tot
-    return out
+        S.append(weight * sum(ratios.get(i, 0j) * S[n - i] for i in range(1, n + 1)))
+    return {n: S[n] for n in range(1, n_max + 1)}
 
 
 def phi_series(regime_kind: str, exp: SeriesExpansion, N: int) -> PhiExpansion:

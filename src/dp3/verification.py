@@ -350,7 +350,6 @@ def check_defect_slopes(seed=0):
     K = 6
     taus = np.logspace(-4, -2, 9)
     claimed_dev = 0.0
-    true_dev = 0.0
     details = []
     trials = 0
     while trials < 10:
@@ -365,9 +364,7 @@ def check_defect_slopes(seed=0):
         res = _defect_slope_power(params, sigma, b11, K, taus)
         slope = float(np.polyfit(np.log(taus), np.log(res), 1)[0])
         claimed = 2 * K + 1 - abs(sigma.real)
-        true_law = 2 * K - 1 - (K + 1) * abs(sigma.real)
         claimed_dev = max(claimed_dev, abs(slope - claimed))
-        true_dev = max(true_dev, abs(slope - true_law))
         details.append(f"Re(sigma)={sigma.real:+.2f}: slope={slope:.2f}")
         trials += 1
     # regular-log analogue: claim 2K+1 after removing the log envelope

@@ -21,7 +21,6 @@ from dp3.series import (
     pn_coefficients,
     power_coeffs,
     reglog_coeffs,
-    summation_sets,
 )
 
 A = 0.37 + 0.21j
@@ -274,8 +273,8 @@ def _power_table_mp(a, sigma, b11, K):
     return coeffs
 
 
-# (a, sigma, b11): perfbench tables draws 0/0 and 22/30 (sigma near -2)
-POWER_MP_IDS = ["tables-0-0", "tables-22-30"]
+# (a, sigma, b11): perfbench tables draws 0/0, 22/30 and 17/167 (sigma near -2)
+POWER_MP_IDS = ["tables-0-0", "tables-22-30", "tables-17-167"]
 POWER_MP_POINTS = [
     (
         0.21913869971432698 - 0.36834125797780753j,
@@ -286,6 +285,11 @@ POWER_MP_POINTS = [
         -0.023695194953024412 + 0.6178063876221516j,
         -1.778445700080713 - 0.1262128693452898j,
         0.06859719126941077 + 0.9783020541426417j,
+    ),
+    (
+        -0.06840963021397395 - 0.7796923283574473j,
+        -1.7944931908698132 + 0.0061983559061298266j,
+        0.30581366139279953 - 0.5934698170357244j,
     ),
 ]
 
@@ -302,7 +306,32 @@ def test_power_interior_coefficients_match_60_digit_level_solve(a, sigma, b11):
         worst = max(
             float(abs(exp.coeffs[km] - c) / abs(c)) for km, c in ref.items() if km[0] >= 2
         )
-    assert worst <= 1e-13
+    assert worst <= 4e-14
+
+
+def _tables_draw(seed, item):
+    """(a, sigma, b11) of perfbench `tables` draw seed/item."""
+    rng = np.random.default_rng([seed, item])
+    draw = lambda lo, hi, ilo, ihi: complex(rng.uniform(lo, hi), rng.uniform(ilo, ihi))
+    while abs(a := draw(-0.8, 0.8, -0.8, 0.8)) < 0.05:
+        pass
+    while True:
+        sigma = draw(-1.8, 1.8, -0.6, 0.6)
+        if min(abs(sigma - s) for s in (0, 2, -2)) >= 0.15:
+            break
+    while abs(b11 := draw(-1.0, 1.0, -1.0, 1.0)) < 0.1:
+        pass
+    return a, sigma, b11
+
+
+@pytest.mark.parametrize("item", range(12))
+def test_power_level1_is_the_seeds(item):
+    # two-sided tables are solved in rescaled gauges; level 1 must come back
+    # as the seeds themselves, not their round trip through a gauge
+    a, sigma, b11 = _tables_draw(0, item)
+    exp = power_coeffs(ProblemParams(a, 1.0, 1), sigma, b11=b11, K=3)
+    assert exp.coeffs[(1, 1)] == b11
+    assert exp.coeffs[(1, -1)] == exp.seeds["b1m1"]
 
 
 @pytest.mark.parametrize("table", ["power_table", "reglog_table", "irreglog_table"])
@@ -463,14 +492,6 @@ def test_genfun_power_taylor_near_sigma_minus_two(a, sigma, b11):
     assert worst <= 1e-13
 
 
-def test_summation_sets():
-    assert summation_sets(2, 3) == ((1, 1, 0),)
-    for k, N in ((1, 4), (3, 5), (2, 6)):
-        for ms in summation_sets(k, N):
-            assert sum(ms) == k
-            assert sum((i + 1) * mi for i, mi in enumerate(ms)) == N
-
-
 def test_pn_polynomials():
     # P_1 = 0; P_2 - P_1 = (4a^2/beff) b30 tau^2/2
     a = 0.3 + 0.2j
@@ -509,15 +530,18 @@ def test_inverse_power_sums_against_direct_expansion():
     # coefficients of 1/(1 - w*(r_1 x + r_2 x^2 + ...)) - 1
     ratios = {1: 0.3 + 0.1j, 2: -0.2j, 3: 0.05}
     w = 0.7 - 0.2j
-    out = inverse_power_sums(ratios, w, 3)
-    # brute-force series inversion oracle
-    f = np.zeros(8, dtype=complex)
-    f[0] = 1.0
+    n_max = 6
+    out = inverse_power_sums(ratios, w, n_max)
+    # oracle: the truncated geometric sum sum_{k<=n_max} (w*R)^k, each power
+    # by one more polynomial product
+    wr = np.zeros(n_max + 1, dtype=complex)
     for i, r in ratios.items():
-        f[i] -= w * r
-    g = np.zeros(8, dtype=complex)
-    g[0] = 1.0 / f[0]
-    for n in range(1, 8):
-        g[n] = -sum(f[i] * g[n - i] for i in range(1, n + 1)) / f[0]
-    for n in range(1, 4):
-        assert out[n] == pytest.approx(g[n], rel=1e-12)
+        wr[i] = w * r
+    power = np.zeros(n_max + 1, dtype=complex)
+    power[0] = 1.0
+    total = np.zeros(n_max + 1, dtype=complex)
+    for _k in range(n_max):
+        power = np.convolve(power, wr)[: n_max + 1]
+        total += power
+    for n in range(1, n_max + 1):
+        assert out[n] == pytest.approx(total[n], rel=1e-12)
