@@ -500,6 +500,32 @@ def _double_factorial(n: int) -> int:
 # evaluation
 
 
+# generic profiles store all four w amplitudes: the first pair found is read
+_PAIR_KEYS = (("w1", "w2", 1), ("w3", "w4", -1), ("o1", "o2", 1), ("o3", "o4", -1))
+
+
+def _power_pair(profile: AsymptoticProfile):
+    """(w_a, w_b, side) of a power-like profile, or None for the regimes of
+    another leading form.
+
+    Every power-like regime has the leading form
+        u ~ eps (1-2 varrho)^2 w_a w_b
+            / (tau (w_a tau^(1-2 varrho) + w_b tau^(2 varrho-1))^2)
+    with varrho = profile.branching.varrho: (w1, w2) for generic data and the
+    s0inf = 0 hats, (w3, w4) for the s1inf = 0 hats, (A+, -A-) in pole
+    accumulation and (o1, o2) or (o3, o4) for the two pole variants.  side is
+    -1 for the (w3, w4)-like pairs, whose exp(i phi) is written in w3 w4
+    (w1 w2 w3 w4 = (2 pi)^2 e^{-pi a}), and +1 otherwise.
+    """
+    co = profile.coefficients
+    if "A+" in co:
+        return co["A+"], -co["A-"], 1
+    for ka, kb, side in _PAIR_KEYS:
+        if ka in co:
+            return co[ka], co[kb], side
+    return None
+
+
 def _power_like_u(eps, varrho, wa, wb, tau):
     t1 = pow_principal(tau, 1 - 2 * varrho)
     t2 = pow_principal(tau, -1 + 2 * varrho)
@@ -518,56 +544,52 @@ def eval_u(
 ):
     """Leading-order u(tau) for the profile's regime.
 
-    Returns (value, correction_orders).  In the pole-accumulation regime
-    the point is checked against the excluded discs (a DomainError carries
-    the nearest predicted pole).  For the meromorphic regimes the Taylor
+    Returns (value, correction_orders).  Every power-like regime (generic,
+    the special hats, pole accumulation and its variants) evaluates the one
+    leading form of _power_pair; the special families with |Im a| < 1 use
+    their closed forms.  A chart exists only for the pole regimes: the point
+    is checked against its excluded discs (a DomainError carries the nearest
+    predicted pole) and the correction order drops by its delta_d.  For the
+    meromorphic regimes and the special families on their series side the
     series is summed to series_level (default 6).
     """
     tau = complex(tau)
     data = profile.data
     eps = data.params.epsilon
     a = data.params.a
-    beff = data.params.beff
     tag = profile.regime.tag
     co = profile.coefficients
 
-    if tag is RegimeTag.GENERIC_POWER:
-        return (
-            _power_like_u(eps, profile.branching.varrho, co["w1"], co["w2"], tau),
-            profile.correction_orders,
+    # the special families off the pole line carry their closed-form seed:
+    # b1m1 (s0inf = 0) or b11 (s1inf = 0)
+    if "b1m1" in co and -1 < a.imag < 1:
+        sigma, b1m1 = co["sigma"], co["b1m1"]
+        ts = pow_principal(tau, 1 - sigma)
+        val = (
+            eps * b1m1 * ts / (1 + 4 * b1m1 * ts * tau / (sigma - 2) ** 2) ** 2
+            - data.params.b * tau / (2 * a)
         )
+        return val, (abs(2 - sigma.real), 2.0)
 
-    if tag is RegimeTag.SPECIAL_POWER_PLUS and not profile.regime.subcase.get("poles"):
-        if -1 < a.imag < 1:
-            sigma, b1m1 = co["sigma"], co["b1m1"]
-            ts = pow_principal(tau, 1 - sigma)
-            val = (
-                eps * b1m1 * ts / (1 + 4 * b1m1 * ts * tau / (sigma - 2) ** 2) ** 2
-                - data.params.b * tau / (2 * a)
-            )
-            return val, (abs(2 - sigma.real), 2.0)
-        if a.imag > 0:
-            return (
-                _power_like_u(eps, profile.branching.varrho, co["w1"], co["w2"], tau),
-                profile.correction_orders,
-            )
-        return _middle_series_u(profile, tau, series_level)
+    if "b11" in co and -1 < a.imag < 1:
+        sigma, b11 = co["sigma"], co["b11"]
+        ts = pow_principal(tau, 1 + sigma)
+        val = (
+            eps * b11 * ts / (1 + 4 * b11 * ts * tau / (sigma + 2) ** 2) ** 2
+            - data.params.b * tau / (2 * a)
+        )
+        return val, (abs(2 + sigma.real), 2.0)
 
-    if tag is RegimeTag.SPECIAL_POWER_MINUS and not profile.regime.subcase.get("poles"):
-        if -1 < a.imag < 1:
-            sigma, b11 = co["sigma"], co["b11"]
-            ts = pow_principal(tau, 1 + sigma)
-            val = (
-                eps * b11 * ts / (1 + 4 * b11 * ts * tau / (sigma + 2) ** 2) ** 2
-                - data.params.b * tau / (2 * a)
-            )
-            return val, (abs(2 + sigma.real), 2.0)
-        if a.imag < 0:
-            return (
-                _power_like_u(eps, profile.branching.varrho, co["w3"], co["w4"], tau),
-                profile.correction_orders,
-            )
-        return _middle_series_u(profile, tau, series_level)
+    pair = _power_pair(profile)
+    if pair is not None:
+        orders = profile.correction_orders
+        if chart is not None:
+            if chart.in_disc(tau):
+                t, _ = chart.nearest(tau)
+                raise DomainError(f"tau inside excluded disc around {t}", nearest=t)
+            orders = (orders[0] - chart.delta_d,)
+        wa, wb, _ = pair
+        return _power_like_u(eps, profile.branching.varrho, wa, wb, tau), orders
 
     if tag is RegimeTag.LOG_RHO0:
         lt = cmath.log(tau)
@@ -585,41 +607,7 @@ def eval_u(
         lt = cmath.log(tau)
         return -eps / (4 * tau * (lt + co["c_minus"] / 2) ** 2), (2.0,)
 
-    if tag is RegimeTag.POLE_ACCUMULATION:
-        if chart is not None and chart.in_disc(tau):
-            t, d = chart.nearest(tau)
-            raise DomainError(f"tau inside excluded disc around {t}", nearest=t)
-        k = co["varkappa"]
-        Ap, Am = co["A+"], co["A-"]
-        tp = pow_principal(tau, -2j * k)
-        tm = pow_principal(tau, 2j * k)
-        val = 4 * eps * k * k * Ap * Am / (tau * (Ap * tp - Am * tm) ** 2)
-        dd = chart.delta_d if chart is not None else 0.0
-        return val, (2.0 - dd,)
-
-    if tag in (RegimeTag.SPECIAL_POWER_PLUS, RegimeTag.SPECIAL_POWER_MINUS):
-        # pole variants
-        k = profile.regime.subcase["varkappa"]
-        if chart is not None and chart.in_disc(tau):
-            t, d = chart.nearest(tau)
-            raise DomainError(f"tau inside excluded disc around {t}", nearest=t)
-        if "o1" in co:
-            o1, o2 = co["o1"], co["o2"]
-            tp = pow_principal(tau, -2j * k)
-            tm = pow_principal(tau, 2j * k)
-            val = -4 * eps * k * k * o1 * o2 / (tau * (o1 * tp + o2 * tm) ** 2)
-        else:
-            o3, o4 = co["o3"], co["o4"]
-            tp = pow_principal(tau, 2j * k)
-            tm = pow_principal(tau, -2j * k)
-            val = -4 * eps * k * k * o3 * o4 / (tau * (o3 * tp + o4 * tm) ** 2)
-        dd = chart.delta_d if chart is not None else 0.0
-        return val, (2.0 - dd,)
-
-    if tag in (RegimeTag.MEROMORPHIC_VANISHING, RegimeTag.MEROMORPHIC_NONVANISHING):
-        return _middle_series_u(profile, tau, series_level)
-
-    raise ValueError(f"unhandled regime {tag}")
+    return _middle_series_u(profile, tau, series_level)
 
 
 def _middle_series_u(profile, tau, series_level):
@@ -630,7 +618,13 @@ def _middle_series_u(profile, tau, series_level):
 
 
 def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
-    """Leading value of exp(i*phi(tau)) with its correction orders."""
+    """Leading value of exp(i*phi(tau)) with its correction orders.
+
+    Every power-like regime reads its amplitude pair from _power_pair:
+    exp(i phi) ~ e^{3 i pi/2} e^{-pi a/2} (2 pi / (w_a w_b)) (2 tau^2)^{i a},
+    or e^{3 i pi/2} e^{pi a/2} (w_a w_b / 2 pi) (2 tau^2)^{i a} for the
+    (w3, w4)-like pairs.
+    """
     tau = complex(tau)
     data = profile.data
     a = data.params.a
@@ -640,41 +634,45 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
     co = profile.coefficients
     g11, g12, g21, g22 = data.g
 
-    if tag is RegimeTag.GENERIC_POWER:
-        w1w2 = co["w1"] * co["w2"]
+    if "b1m1" in co and -1 < a.imag < 1:
         val = (
-            cmath.exp(1.5j * PI)
-            * cmath.exp(-PI * a / 2)
-            * (2 * PI / w1w2)
-            * _tau2ia(tau, a)
-        )
-        return val, profile.correction_orders
-
-    if tag is RegimeTag.SPECIAL_POWER_PLUS and not profile.regime.subcase.get("poles"):
-        if -1 < a.imag < 1:
-            val = (
-                cmath.exp(PI * a)
-                / (2 * PI * a * g21**2)
-                * (
-                    cmath.exp(PI * a / 2)
-                    * gamma(1 - 1j * a)
-                    * data.s1inf
-                    * g21**2
-                    * _tau2ia(tau, a)
-                    - 1j * gamma(1 + 1j * a) ** 2 * pow_principal(4 / beff, 1j * a)
-                )
-            )
-            return val, (2.0, abs(2 + (2j * a).real))
-        if a.imag > 0:
-            w1w2 = co["w1"] * co["w2"]
-            val = (
-                cmath.exp(1.5j * PI)
-                * cmath.exp(-PI * a / 2)
-                * (2 * PI / w1w2)
+            cmath.exp(PI * a)
+            / (2 * PI * a * g21**2)
+            * (
+                cmath.exp(PI * a / 2)
+                * gamma(1 - 1j * a)
+                * data.s1inf
+                * g21**2
                 * _tau2ia(tau, a)
+                - 1j * gamma(1 + 1j * a) ** 2 * pow_principal(4 / beff, 1j * a)
             )
-            return val, profile.correction_orders
-        # Im a < 0: exponent-series form
+        )
+        return val, (2.0, abs(2 + (2j * a).real))
+
+    if "b11" in co and -1 < a.imag < 1:
+        inv = (
+            -cmath.exp(PI * a)
+            / (2 * PI * a * g12**2)
+            * (
+                cmath.exp(-1.5 * PI * a)
+                * gamma(1 + 1j * a)
+                * data.s0inf
+                * g12**2
+                * _tau2ia(tau, -a)
+                - 1j * gamma(1 - 1j * a) ** 2 * pow_principal(4 / beff, -1j * a)
+            )
+        )
+        return 1 / inv, (2.0, abs(2 - (2j * a).real))
+
+    pair = _power_pair(profile)
+    if pair is not None:
+        wa, wb, side = pair
+        amp = 2 * PI / (wa * wb) if side > 0 else wa * wb / (2 * PI)
+        val = cmath.exp(1.5j * PI) * cmath.exp(-side * PI * a / 2) * amp
+        return val * _tau2ia(tau, a), profile.correction_orders
+
+    if "b1m1" in co:
+        # Im a <= -1: exponent-series form
         n = profile.regime.subcase.get("n", 1)
         exp = series_for_regime(profile, K=max(N + 1, n + 1))
         ps = phi_series("middle", exp, N)
@@ -691,30 +689,8 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
         ) / sigma
         return pre * cmath.exp(expo), (float(2 * n),)
 
-    if tag is RegimeTag.SPECIAL_POWER_MINUS and not profile.regime.subcase.get("poles"):
-        if -1 < a.imag < 1:
-            inv = (
-                -cmath.exp(PI * a)
-                / (2 * PI * a * g12**2)
-                * (
-                    cmath.exp(-1.5 * PI * a)
-                    * gamma(1 + 1j * a)
-                    * data.s0inf
-                    * g12**2
-                    * _tau2ia(tau, -a)
-                    - 1j * gamma(1 - 1j * a) ** 2 * pow_principal(4 / beff, -1j * a)
-                )
-            )
-            return 1 / inv, (2.0, abs(2 - (2j * a).real))
-        if a.imag < 0:
-            w3w4 = co["w3"] * co["w4"]
-            val = (
-                cmath.exp(1.5j * PI)
-                * cmath.exp(PI * a / 2)
-                * (w3w4 / (2 * PI))
-                * _tau2ia(tau, a)
-            )
-            return val, profile.correction_orders
+    if "b11" in co:
+        # Im a >= 1
         n = profile.regime.subcase.get("n", 1)
         exp = series_for_regime(profile, K=max(N + 1, n + 1))
         ps = phi_series("middle", exp, N)
@@ -760,37 +736,6 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
             / (gamma(0.5 + 0.5j * a) * (g11 + 1j * g21)) ** 2
         )
         return val, (4.0,)
-
-    if tag is RegimeTag.POLE_ACCUMULATION:
-        AA = co["A+"] * co["A-"]
-        val = (
-            2
-            * PI
-            * cmath.exp(-1.5j * PI)
-            * cmath.exp(-PI * a / 2)
-            / AA
-            * _tau2ia(tau, a)
-        )
-        return val, (2.0,)
-
-    if tag in (RegimeTag.SPECIAL_POWER_PLUS, RegimeTag.SPECIAL_POWER_MINUS):
-        k = profile.regime.subcase["varkappa"]
-        n = profile.regime.subcase["n"]
-        if "o1" in co:
-            oo = co["o1"] * co["o2"]
-            val = (
-                cmath.exp(-PI * k - 1j * PI * (n + 1))
-                * (2 * PI / oo)
-                * pow_principal(2 * tau * tau, -2 * n - 1 + 2j * k)
-            )
-        else:
-            oo = co["o3"] * co["o4"]
-            val = (
-                cmath.exp(PI * k + 1j * PI * (n + 1))
-                * (oo / (2 * PI))
-                * pow_principal(2 * tau * tau, 2 * n + 1 + 2j * k)
-            )
-        return val, (2.0,)
 
     if tag is RegimeTag.MEROMORPHIC_VANISHING:
         exp = series_for_regime(profile, K=max(N + 1, 3))
@@ -891,56 +836,19 @@ def series_for_regime(profile: AsymptoticProfile, K: int = 6, M: int = 12) -> Se
     """Complete local expansion whose leading behaviour is the profile's.
 
     Maps the regime's amplitude data onto the seeds of the matching family:
-    power-like for the power regimes (the branching representative chosen
-    inside |Re sigma| < 2), regular log for the exponent-0 log family,
-    irregular log for the exponent-1/2 one (ct[-1,3] = c_-/4).
+    regular log for the exponent-0 log family, irregular log for the
+    exponent-1/2 one (ct[-1,3] = c_-/4), the Taylor seeds of the meromorphic
+    regimes, and for every power regime the power-like family seeded by
+    uniform_seeds (the branching representative inside |Re sigma| <= 2).
     """
-    data = profile.data
-    params = data.params
-    a = params.a
+    params = profile.data.params
     tag = profile.regime.tag
     co = profile.coefficients
-
-    if tag is RegimeTag.GENERIC_POWER:
-        vr = profile.branching.varrho
-        w1, w2 = co["w1"], co["w2"]
-        if vr.real > 0.5:
-            sigma = 4 * vr - 4
-            b11 = (1 - 2 * vr) ** 2 * w2 / w1
-            return power_coeffs(params, sigma, b11=b11, K=K)
-        sigma = 4 * vr
-        b1m1 = (1 - 2 * vr) ** 2 * w1 / w2
-        return power_coeffs(params, sigma, b1m1=b1m1, K=K)
-
-    if tag is RegimeTag.SPECIAL_POWER_PLUS and not profile.regime.subcase.get("poles"):
-        return power_coeffs(params, co["sigma"], b11=0.0, b1m1=co["b1m1"], K=K)
-    if tag is RegimeTag.SPECIAL_POWER_MINUS and not profile.regime.subcase.get("poles"):
-        return power_coeffs(params, co["sigma"], b11=co["b11"], b1m1=0.0, K=K)
 
     if tag is RegimeTag.LOG_RHO0:
         return reglog_coeffs(params, co["c"], K=K)
     if tag is RegimeTag.LOG_VARRHO_HALF:
         return irreglog_coeffs(params, co["c_minus"] / 4, K=K, M=M)
-
-    if tag is RegimeTag.POLE_ACCUMULATION:
-        k = co["varkappa"]
-        vr = 0.5 + 1j * k
-        sigma = 4 * vr - 4  # Re sigma = -2: convergent off the pole ray
-        w1, w2 = co["A+"], -co["A-"]
-        b11 = (1 - 2 * vr) ** 2 * w2 / w1
-        return power_coeffs(params, sigma, b11=b11, K=K)
-
-    if tag in (RegimeTag.SPECIAL_POWER_PLUS, RegimeTag.SPECIAL_POWER_MINUS):
-        k = profile.regime.subcase["varkappa"]
-        if "o1" in co:
-            vr = 0.5 + 1j * k
-            sigma = 4 * vr - 4
-            b11 = (1 - 2 * vr) ** 2 * co["o2"] / co["o1"]
-            return power_coeffs(params, sigma, b11=b11, K=K)
-        vr = 0.5 - 1j * k
-        sigma = 4 * vr - 4
-        b11 = (1 - 2 * vr) ** 2 * co["o4"] / co["o3"]
-        return power_coeffs(params, sigma, b11=b11, K=K)
 
     if tag is RegimeTag.MEROMORPHIC_VANISHING:
         if profile.regime.subcase.get("family") == "odd":
@@ -952,7 +860,8 @@ def series_for_regime(profile: AsymptoticProfile, K: int = 6, M: int = 12) -> Se
     if tag is RegimeTag.MEROMORPHIC_NONVANISHING:
         return power_coeffs(params, 1.0 + 0j, b1m1=co["b1m1_tilde"], K=K)
 
-    raise ValueError(f"unhandled regime {tag}")
+    sigma, b11, b1m1 = uniform_seeds(profile)
+    return power_coeffs(params, sigma, b11=b11, b1m1=b1m1, K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +918,7 @@ def uniform_terms(params, sigma, b11, b1m1, tau):
 
 
 def eval_uniform(
-    data_or_profile,
+    profile: AsymptoticProfile,
     tau: complex,
     with_correction: bool = False,
     derivative: bool = False,
@@ -1018,11 +927,6 @@ def eval_uniform(
     sigma away from 0, +-2), optionally with the explicit first correction.
 
     Returns value or (value, derivative)."""
-    profile = (
-        data_or_profile
-        if isinstance(data_or_profile, AsymptoticProfile)
-        else build_profile(data_or_profile)
-    )
     params = profile.data.params
     eps = params.epsilon
     sigma, b11, b1m1 = uniform_seeds(profile)
@@ -1048,46 +952,34 @@ def eval_uniform(
 
 
 def uniform_seeds(profile: AsymptoticProfile):
-    """(sigma, b11, b1m1) of the uniform representation, from the profile's
-    amplitude data (sigma = 4*rho, |Re sigma| <= 2)."""
-    tag = profile.regime.tag
+    """(sigma, b11, b1m1) of the power-like series of a power regime.
+
+    The special families off the pole line give their closed-form seeds
+    (sigma = -2ia, one side zero).  Every other power regime reads its
+    amplitude pair from _power_pair at varrho = profile.branching.varrho:
+    sigma = 4 varrho - 4 with b11 = (1-2 varrho)^2 w_b/w_a when Re varrho
+    >= 1/2 (on the pole line Re varrho = 1/2 this puts Re sigma at -2,
+    convergent off the pole ray), else sigma = 4 varrho with b1m1 =
+    (1-2 varrho)^2 w_a/w_b; the other seed follows from the product
+    constraint."""
     co = profile.coefficients
     params = profile.data.params
-    a, beff = params.a, params.beff
-    if tag is RegimeTag.GENERIC_POWER:
-        vr = profile.branching.varrho
-        w1, w2 = co["w1"], co["w2"]
-        if vr.real > 0.5:
-            sigma = 4 * vr - 4
-            b11 = (1 - 2 * vr) ** 2 * w2 / w1
-            b1m1 = _other_seed(params, sigma, b11)
-        else:
-            sigma = 4 * vr
-            b1m1 = (1 - 2 * vr) ** 2 * w1 / w2
-            b11 = _other_seed(params, sigma, b1m1)
-        return sigma, b11, b1m1
-    if tag is RegimeTag.SPECIAL_POWER_PLUS and "b1m1" in co:
+    if "b1m1" in co:
         return co["sigma"], 0j, co["b1m1"]
-    if tag is RegimeTag.SPECIAL_POWER_MINUS and "b11" in co:
+    if "b11" in co:
         return co["sigma"], co["b11"], 0j
-    if tag is RegimeTag.POLE_ACCUMULATION:
-        k = co["varkappa"]
-        vr = 0.5 + 1j * k
+    pair = _power_pair(profile)
+    if pair is None:
+        raise DomainError(f"no uniform seeds for regime {profile.regime.tag}")
+    wa, wb, _ = pair
+    vr = profile.branching.varrho
+    if vr.real >= 0.5:
         sigma = 4 * vr - 4
-        b11 = (1 - 2 * vr) ** 2 * (-co["A-"]) / co["A+"]
+        b11 = (1 - 2 * vr) ** 2 * wb / wa
         return sigma, b11, _other_seed(params, sigma, b11)
-    if "o1" in co or "o3" in co:
-        # special-power pole variants carry oscillator amplitudes
-        k = profile.regime.subcase["varkappa"]
-        if "o1" in co:
-            vr = 0.5 + 1j * k
-            b11 = (1 - 2 * vr) ** 2 * co["o2"] / co["o1"]
-        else:
-            vr = 0.5 - 1j * k
-            b11 = (1 - 2 * vr) ** 2 * co["o4"] / co["o3"]
-        sigma = 4 * vr - 4
-        return sigma, b11, _other_seed(params, sigma, b11)
-    raise DomainError(f"no uniform seeds for regime {tag}")
+    sigma = 4 * vr
+    b1m1 = (1 - 2 * vr) ** 2 * wa / wb
+    return sigma, _other_seed(params, sigma, b1m1), b1m1
 
 
 def _other_seed(params, sigma, seed):

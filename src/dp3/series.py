@@ -52,13 +52,14 @@ class ResonanceError(ValueError):
 _XP = np.clongdouble
 
 
-def _qr_lstsq_xp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least squares via Householder QR in extended precision."""
-    A = A.astype(_XP).copy()
-    b = b.astype(_XP).copy()
-    m, n = A.shape
+def _qr_xp(A: np.ndarray):
+    """Householder QR in extended precision: returns solve(b), the least-squares
+    solution, which applies the stored reflectors (v, 2/|v|^2) and back-substitutes."""
+    R = A.astype(_XP)
+    n = R.shape[1]
+    reflectors = []
     for j in range(n):
-        x = A[j:, j]
+        x = R[j:, j]
         nx = np.sqrt(np.sum((x * x.conjugate()).real))
         if nx == 0:
             continue
@@ -68,17 +69,24 @@ def _qr_lstsq_xp(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         vn = np.sum((v * v.conjugate()).real)
         if vn == 0:
             continue
-        w = (v.conjugate() @ A[j:, j:]) * (2.0 / vn)
-        A[j:, j:] -= np.outer(v, w)
-        b[j:] -= v * ((v.conjugate() @ b[j:]) * (2.0 / vn))
-    sol = np.zeros(n, dtype=_XP)
-    for i in range(n - 1, -1, -1):
-        s = b[i] - A[i, i + 1 :] @ sol[i + 1 :]
-        d = A[i, i]
-        if abs(d) == 0:
-            raise ResonanceError("singular level system (resonant sigma?)")
-        sol[i] = s / d
-    return sol
+        scale = 2.0 / vn
+        R[j:, j:] -= np.outer(v, (v.conjugate() @ R[j:, j:]) * scale)
+        reflectors.append((j, v, scale))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = b.astype(_XP)
+        for j, v, scale in reflectors:
+            b[j:] -= v * ((v.conjugate() @ b[j:]) * scale)
+        sol = np.zeros(n, dtype=_XP)
+        for i in range(n - 1, -1, -1):
+            s = b[i] - R[i, i + 1 :] @ sol[i + 1 :]
+            d = R[i, i]
+            if abs(d) == 0:
+                raise ResonanceError("singular level system (resonant sigma?)")
+            sol[i] = s / d
+        return sol
+
+    return solve
 
 
 class ExpansionKind(Enum):
@@ -223,9 +231,11 @@ def _solve_level_lstsq(
         rs = bg / rsc
         csc = np.maximum(np.max(np.abs(As), axis=0), np.longdouble(1e-300))
         As = As / csc[None, :]
-        sol = _qr_lstsq_xp(As, rs) / csc
-        # one refinement pass: conditions up to ~1e7 appear at awkward sigma
-        corr = _qr_lstsq_xp(As, rs - As @ (sol * csc)) / csc
+        solve = _qr_xp(As)
+        sol = solve(rs) / csc
+        # one refinement pass on the same factors: conditions up to ~1e7
+        # appear at awkward sigma
+        corr = solve(rs - As @ (sol * csc)) / csc
         sol = sol + corr
         resid = float(np.max(np.abs(Ag @ sol - bg)))
         if resid > 1e-10 * float(max(np.max(np.abs(bg)), 1e-30)):

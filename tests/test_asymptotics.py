@@ -18,6 +18,7 @@ from dp3.asymptotics import (
     perturbed_w1_oracle,
     pole_chart,
     series_for_regime,
+    uniform_seeds,
     w_amplitudes,
 )
 from dp3.monodromy import (
@@ -198,6 +199,107 @@ def test_pole_variant_chart():
     shr = math.exp(-math.pi / (2 * kappa))
     for t0, t1 in zip(chart.tau_p[:-1], chart.tau_p[1:]):
         assert abs(t1 / t0) == pytest.approx(shr, rel=1e-12)
+
+
+def _pole_data(kappa):
+    params = ProblemParams(0.3, 1.0, 1)
+    s00 = -2j * math.cosh(2 * math.pi * kappa)
+    return complete_from_g11_g21_s00(params, 0.9, 0.4 + 0.2j, s00)
+
+
+def _special_data(a):
+    params = ProblemParams(a, 1.0, 1)
+    if a.imag > 0:
+        return complete_special(
+            RegimeTag.SPECIAL_POWER_PLUS, params, g21=0.8 - 0.3j, s1inf=0.6 + 0.2j
+        )
+    return complete_special(
+        RegimeTag.SPECIAL_POWER_MINUS, params, g12=0.7 + 0.4j, s0inf=0.5 - 0.3j
+    )
+
+
+def _pw(z, e):
+    return cmath.exp(e * cmath.log(z))
+
+
+def _per_regime_u_phi(prof, tau):
+    """The leading u and exp(i*phi) in each regime's own amplitudes, as the
+    paper states them (not through the shared power-like form)."""
+    co = prof.coefficients
+    a = prof.data.params.a
+    eps = prof.data.params.epsilon
+    PI = math.pi
+    if "w1" in co or "w3" in co:
+        vr = prof.branching.varrho
+        wa, wb = (co["w1"], co["w2"]) if "w1" in co else (co["w3"], co["w4"])
+        den = tau * (wa * _pw(tau, 1 - 2 * vr) + wb * _pw(tau, 2 * vr - 1)) ** 2
+        u = eps * (1 - 2 * vr) ** 2 * wa * wb / den
+        t2ia = _pw(2 * tau * tau, 1j * a)
+        if "w1" in co:
+            return u, cmath.exp(1.5j * PI - PI * a / 2) * (2 * PI / (wa * wb)) * t2ia
+        return u, cmath.exp(1.5j * PI + PI * a / 2) * (wa * wb / (2 * PI)) * t2ia
+    if "A+" in co:
+        k, Ap, Am = co["varkappa"], co["A+"], co["A-"]
+        tp, tm = _pw(tau, -2j * k), _pw(tau, 2j * k)
+        u = 4 * eps * k * k * Ap * Am / (tau * (Ap * tp - Am * tm) ** 2)
+        t2ia = _pw(2 * tau * tau, 1j * a)
+        return u, 2 * PI * cmath.exp(-1.5j * PI - PI * a / 2) * t2ia / (Ap * Am)
+    k, n = prof.regime.subcase["varkappa"], prof.regime.subcase["n"]
+    tp, tm = _pw(tau, -2j * k), _pw(tau, 2j * k)
+    if "o1" in co:
+        o1, o2 = co["o1"], co["o2"]
+        u = -4 * eps * k * k * o1 * o2 / (tau * (o1 * tp + o2 * tm) ** 2)
+        ph = (
+            cmath.exp(-PI * k - 1j * PI * (n + 1))
+            * (2 * PI / (o1 * o2))
+            * _pw(2 * tau * tau, -2 * n - 1 + 2j * k)
+        )
+        return u, ph
+    o3, o4 = co["o3"], co["o4"]
+    u = -4 * eps * k * k * o3 * o4 / (tau * (o3 * tm + o4 * tp) ** 2)
+    ph = (
+        cmath.exp(PI * k + 1j * PI * (n + 1))
+        * (o3 * o4 / (2 * PI))
+        * _pw(2 * tau * tau, 2 * n + 1 + 2j * k)
+    )
+    return u, ph
+
+
+_POWER_LIKE_POINTS = {
+    "pole-0.7": lambda: _pole_data(0.7),
+    "pole-1.0": lambda: _pole_data(1.0),
+    "variant-2+i": lambda: _special_data(2 + 1j),
+    "variant-2-i": lambda: _special_data(2 - 1j),
+    "variant-1.6+3i": lambda: _special_data(1.6 + 3j),
+    "variant-1.6-3i": lambda: _special_data(1.6 - 3j),
+    "hat-0.4+1.4i": lambda: _special_data(0.4 + 1.4j),
+    "hat-0.3+2.6i": lambda: _special_data(0.3 + 2.6j),
+    "hat-0.4-1.4i": lambda: _special_data(0.4 - 1.4j),
+}
+
+
+@pytest.mark.parametrize("point", sorted(_POWER_LIKE_POINTS))
+def test_power_like_regimes_match_their_own_formulas(point):
+    prof = build_profile(_POWER_LIKE_POINTS[point]())
+    co = prof.coefficients
+    pole_line = "A+" in co or "o1" in co or "o3" in co
+    assert pole_line or "w1" in co or "w3" in co
+    for tau in (1e-3, 2.5e-3 * cmath.exp(0.4j), 7e-3 * cmath.exp(-0.9j)):
+        want_u, want_ph = _per_regime_u_phi(prof, tau)
+        u, _ = eval_u(prof, tau)
+        ph, _ = eval_phi(prof, tau)
+        assert abs(u - want_u) <= 1e-14 * abs(want_u)
+        assert abs(ph - want_ph) <= 1e-14 * abs(want_ph)
+    if pole_line:
+        vr = prof.branching.varrho
+        assert vr.real == 0.5
+        if "A+" in co:
+            wa, wb = co["A+"], -co["A-"]
+        else:
+            wa, wb = (co["o1"], co["o2"]) if "o1" in co else (co["o3"], co["o4"])
+        sigma, b11, _ = uniform_seeds(prof)
+        assert sigma == 4 * vr - 4
+        assert b11 == (1 - 2 * vr) ** 2 * wb / wa
 
 
 def test_delta_d_zero_shrinks_J():
