@@ -536,11 +536,14 @@ def _tau2ia(tau, a):
     return pow_principal(2 * tau * tau, 1j * a)
 
 
+# the level eval_u sums the series to where no closed form applies
+_SERIES_LEVEL = 6
+
+
 def eval_u(
     profile: AsymptoticProfile,
     tau: complex,
     chart: PoleChart | None = None,
-    series_level: int | None = None,
 ):
     """Leading-order u(tau) for the profile's regime.
 
@@ -551,7 +554,7 @@ def eval_u(
     is checked against its excluded discs (a DomainError carries the nearest
     predicted pole) and the correction order drops by its delta_d.  For the
     meromorphic regimes and the special families on their series side the
-    series is summed to series_level (default 6).
+    series is summed to level _SERIES_LEVEL.
     """
     tau = complex(tau)
     data = profile.data
@@ -607,14 +610,8 @@ def eval_u(
         lt = cmath.log(tau)
         return -eps / (4 * tau * (lt + co["c_minus"] / 2) ** 2), (2.0,)
 
-    return _middle_series_u(profile, tau, series_level)
-
-
-def _middle_series_u(profile, tau, series_level):
-    K = series_level or 6
-    exp = series_for_regime(profile, K=K)
-    r = eval_expansion(exp, tau)
-    return r.value, (float(2 * K + 1),)
+    exp = series_for_regime(profile, K=_SERIES_LEVEL)
+    return eval_expansion(exp, tau).value, (float(2 * _SERIES_LEVEL + 1),)
 
 
 def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):

@@ -275,10 +275,9 @@ def _gauss_newton(resid_jac, theta):
     return theta, rms
 
 
-def fit_local_expansion(
-    trace: Trace, params: ProblemParams, kind_hint: str | None = None
-) -> LocalExpansion:
-    """Fit the matching local expansion to the trailing trace points."""
+def fit_local_expansion(trace: Trace, params: ProblemParams, kind: str) -> LocalExpansion:
+    """Fit the local expansion of kind 'pole' or 'zero' to the trailing
+    trace points."""
     eps = params.epsilon
     beff = params.beff
     a = params.a
@@ -287,9 +286,6 @@ def fit_local_expansion(
     us = eps * trace.u[-n:]  # eps-normalized values
     dus = eps * trace.du[-n:]
     t_last, u_last, du_last = taus[-1], us[-1], dus[-1]
-
-    big = abs(u_last) > 1.0 / max(abs(t_last), 1e-30)
-    kind = kind_hint or ("pole" if big else "zero")
 
     if kind == "pole":
         d0 = -2 * u_last / du_last
@@ -371,8 +367,8 @@ def detect_and_step_over(
     the branch point tau = 0), which keeps the arc clear of both the
     cancellation and the neighbouring singularities.
     """
-    kind_hint = "pole" if trace.status == "pole_guard" else "zero"
-    det = fit_local_expansion(trace, params, kind_hint)
+    kind = "pole" if trace.status == "pole_guard" else "zero"
+    det = fit_local_expansion(trace, params, kind)
     if det.fit_residual > _FIT_RESIDUAL_MAX:
         raise UnknownSingularityError(
             f"local fit residual {det.fit_residual:.2e} at {det.center}"

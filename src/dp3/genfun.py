@@ -7,70 +7,90 @@ reproduce whole (anti)diagonals of the coefficient tables:
 * regular log     Ah_n(x):  sum_k c[2k-1, 2k-n] x^k,   x = tau^2 log^2 tau
 * irregular log   At_k(x):  sum_m ct[2k-1, m] x^m,     x = 1/log tau
 
-The rational closed forms below (power n <= 2, regular log n <= 4,
-irregular log n <= 3) provide exactness anchors for the recurrence path;
-for the remaining n <= 4 the Taylor data is delegated to the recurrence,
-which is the equivalent coefficient-space solution of the same
-inhomogeneous degenerate hypergeometric ODEs.
+The rational closed forms (power n <= 2, regular log n <= 4, irregular log
+n <= 3) provide exactness anchors for the recurrence path.  Each is stored
+as data, one partial fraction with a single pole at x = 1/w,
+
+    f(x) = sum_i poly[i] x^i + sum_p residues[p] (1 - w x)^(-p),
+
+whose Laurent polynomial carries the irregular-log heads in its negative
+powers, so one ``value`` and one ``taylor`` serve every member.  For the
+remaining n <= 4 the Taylor data is delegated to the recurrence, which is
+the equivalent coefficient-space solution of the same inhomogeneous
+degenerate hypergeometric ODEs.
+
+The builders compute in the arithmetic of their arguments (builtin complex,
+numpy's extended precision or mpmath).  The partial-fraction sums cancel
+digits (up to 1e-11 in double near sigma = -2, and more as ct[-1,3] -> 0),
+so ``genfun`` evaluates every member in extended precision and returns
+builtin complex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from math import comb
 from types import SimpleNamespace
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from dp3.monodromy import ProblemParams
-from dp3.series import _XP, _binom, irreglog_coeffs, power_coeffs, reglog_coeffs
+from dp3.series import _XP, irreglog_coeffs, power_coeffs
 
-__all__ = ["GeneratingFunction", "genfun", "a2_residues"]
+__all__ = ["GeneratingFunction", "SmallCtildeError", "genfun", "a2_residues"]
 
-
-def _poly_mul(p, q):
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+# the irregular-log residues grow like |ct[-1,3]|^(-n-2) and their sums
+# cancel: in extended precision the n = 3 member is off by 7e-13 at
+# |ct| = 0.029 and 1.2e-13 at 0.045 (relative to max(1, |c|), through log
+# index 10, worst over ten a and twelve phases), so it is refused below 0.05
+IRREGLOG_CT_MIN = 0.05
 
 
-def _inv_1pz_pow(p: int, kmax: int):
-    """Taylor of (1+z)^(-p)."""
-    return [(-1) ** k * _binom(k + p - 1, p - 1) for k in range(kmax + 1)]
-
-
-def _rational_taylor(poly, pole_residues: Dict[int, complex], kmax: int):
-    """Taylor of  sum_i poly[i] z^i + sum_p res[p]/(1+z)^p."""
-    out = [0j] * (kmax + 1)
-    for i, c in enumerate(poly[: kmax + 1]):
-        out[i] += c
-    for p, r in pole_residues.items():
-        basis = _inv_1pz_pow(p, kmax)
-        for k in range(kmax + 1):
-            out[k] += r * basis[k]
-    return out
+class SmallCtildeError(ValueError):
+    """The irregular-log closed forms are not evaluated at small |ct[-1,3]|."""
 
 
 @dataclass
 class GeneratingFunction:
+    """f(x) = sum_i poly[i] x^i + sum_p residues[p] (1 - w x)^(-p).
+
+    For a closed form, ``taylor`` returns the orders ``start`` .. kmax, and
+    ``value`` and ``taylor`` pass each number they return through ``cast``.
+    A recurrence-backed member carries ``table`` (kmax -> Taylor data)
+    instead and has no value.
+    """
+
     family: str  # 'power' | 'reglog' | 'irreglog'
     n: int
-    variable: str
-    closed_form: dict | None
-    _taylor: Callable[[int], Dict[int, complex]]
-    _value: Callable[[complex], complex] | None = None
-    meta: dict = field(default_factory=dict)
+    poly: Dict[int, Any] = field(default_factory=dict)
+    residues: Dict[int, Any] = field(default_factory=dict)
+    w: Any = 0
+    start: int = 0
+    table: Callable[[int], Dict[int, Any]] | None = None
+    cast: Callable[[Any], Any] = lambda v: v
 
     def taylor(self, kmax: int) -> Dict[int, complex]:
-        """Coefficients of the family variable up to order kmax."""
-        return self._taylor(kmax)
+        """Coefficients of the family variable up to order kmax:
+        [x^k] = poly[k] + w^k sum_p residues[p] binom(k+p-1, p-1)."""
+        if self.table is not None:
+            return self.table(kmax)
+        out = {}
+        wk = self.w ** max(self.start, 0)
+        for k in range(self.start, kmax + 1):
+            v = self.poly.get(k, 0)
+            if k >= 0:
+                v += wk * sum(r * comb(k + p - 1, p - 1) for p, r in self.residues.items())
+                wk *= self.w
+            out[k] = self.cast(v)
+        return out
 
     def value(self, x: complex) -> complex:
-        if self._value is None:
+        if self.table is not None:
             raise NotImplementedError(
                 f"{self.family} n={self.n}: Taylor data only (recurrence-backed)"
             )
-        return self._value(x)
+        y = 1 - self.w * x
+        out = sum(c * x**i for i, c in self.poly.items())
+        return self.cast(out + sum(r / y**p for p, r in self.residues.items()))
 
 
 def a2_residues(params: ProblemParams, sigma: complex, b11: complex):
@@ -162,120 +182,58 @@ def a2_residues(params: ProblemParams, sigma: complex, b11: complex):
 
 
 # ---------------------------------------------------------------------------
-# power family
+# power family: one pole at z = -1, z = zfac x
 
 
 def _power_gf(n, params, sigma, b11):
-    a, b = params.a, params.beff
-    s = sigma
     if b11 == 0:
         raise ValueError("power-family generating functions need b11 != 0")
-    zfac = 4 * b11 / (s + 2) ** 2  # z = zfac * x
-
-    def ztaylor_to_x(zt, kmax):
-        return {k: zt[k] * zfac**k for k in range(min(kmax, len(zt) - 1) + 1)}
-
-    if n == 0:
-        # b11 x / (1 + z)^2 = ((s+2)^2/4) z/(1+z)^2
-        pref = (s + 2) ** 2 / 4
-
-        def taylor(kmax):
-            # z/(1+z)^2 = 1/(1+z) - 1/(1+z)^2
-            t = _rational_taylor([0], {1: pref, 2: -pref}, kmax)
-            return ztaylor_to_x(t, kmax)
-
-        def value(x):
-            z = zfac * x
-            return b11 * x / (1 + z) ** 2
-
-        return GeneratingFunction(
-            "power", 0, "x", {"pole_order": 2, "prefactor": pref}, taylor, value
-        )
-
-    if n == 1:
-        c0 = a * b * (2 + s) ** 2 / (2 * s**2 * (4 + s) ** 2 * b11)
-
-        def num(z):
-            return z * (z * s - s - 4) * (z * z * s + 2 * z * (s**2 + 4 * s + 2) - s - 4)
-
-        def value(x):
-            z = zfac * x
-            return c0 * num(z) / (z + 1) ** 3
-
-        def taylor(kmax):
-            p1 = [0j, 1.0 + 0j]  # z
-            p2 = [-s - 4, s]
-            p3 = [-s - 4, 2 * (s**2 + 4 * s + 2), s]
-            poly = _poly_mul(_poly_mul(p1, p2), p3)
-            inv3 = _inv_1pz_pow(3, kmax)
-            t = [0j] * (kmax + 1)
-            for i, pc in enumerate(poly):
-                for k in range(kmax + 1 - i):
-                    t[i + k] += c0 * pc * inv3[k]
-            return ztaylor_to_x(t, kmax)
-
-        return GeneratingFunction("power", 1, "x", {"pole_order": 3}, taylor, value)
-
-    if n == 2:
-        xi = a2_residues(params, sigma, b11)
-
-        def value(x):
-            z = zfac * x
-            out = sum(xi[k] * z**k for k in range(0, 4))
-            out += sum(xi[-k] / (z + 1) ** k for k in range(1, 5))
-            return out
-
-        def taylor(kmax):
-            poly = [xi[0], xi[1], xi[2], xi[3]]
-            t = _rational_taylor(poly, {p: xi[-p] for p in range(1, 5)}, kmax)
-            return ztaylor_to_x(t, kmax)
-
-        return GeneratingFunction(
-            "power", 2, "x", {"residues": xi, "pole_order": 4}, taylor, value
-        )
-
     if n in (3, 4):
-        def taylor(kmax, _n=n):
-            exp = power_coeffs(params, sigma, b11=b11, K=kmax + _n)
-            out = {}
-            for k in range((_n - 1) // 2 + 1, kmax + 1):
-                out[k] = exp.coeffs.get((k, k - _n), 0j)
-            return out
+        def table(kmax):
+            exp = power_coeffs(params, sigma, b11=b11, K=kmax + n)
+            return {k: exp.coeffs.get((k, k - n), 0j) for k in range((n - 1) // 2 + 1, kmax + 1)}
 
-        return GeneratingFunction("power", n, "x", None, taylor, None)
-
-    raise NotImplementedError("power family: n > 4 is left to the recurrence path")
+        return GeneratingFunction("power", n, table=table)
+    if n > 4:
+        raise NotImplementedError("power family: n > 4 is left to the recurrence path")
+    a, b = params.a, params.beff
+    s = sigma
+    zfac = 4 * b11 / (s + 2) ** 2
+    # each member as sum_i zpoly[i] z^i + sum_p res[p] (1 + z)^(-p)
+    if n == 0:
+        # b11 x / (1 + z)^2 = ((s+2)^2/4) (1/(1+z) - 1/(1+z)^2)
+        pref = (s + 2) ** 2 / 4
+        zpoly, res = {}, {1: pref, 2: -pref}
+    elif n == 1:
+        # c0 z (zs - s - 4) (z^2 s + 2z(s^2 + 4s + 2) - s - 4) / (1 + z)^3
+        c0 = a * b * (2 + s) ** 2 / (2 * s**2 * (4 + s) ** 2 * b11)
+        zpoly = {0: 2 * c0 * s**2 * (s + 2), 1: c0 * s**2}
+        res = {
+            1: -8 * c0 * (s + 1) ** 2 * (s + 2),
+            2: 2 * c0 * (s + 2) ** 2 * (5 * s + 6),
+            3: -4 * c0 * (s + 2) ** 3,
+        }
+    else:
+        xi = a2_residues(params, sigma, b11)
+        zpoly = {i: xi[i] for i in range(4)}
+        res = {p: xi[-p] for p in range(1, 5)}
+    poly = {i: c * zfac**i for i, c in zpoly.items()}
+    return GeneratingFunction("power", n, poly, res, -zfac)
 
 
 # ---------------------------------------------------------------------------
-# regular log family
+# regular log family: one pole at x = 1/(a beff)
 
 
 def _reglog_gf(n, params, c):
     a, b = params.a, params.beff
-    C = a * b  # pole of every member sits at x = 1/C
-
-    def pf_value(const_poly, res, x):
-        w = 1 - C * x
-        out = sum(cc * x**i for i, cc in enumerate(const_poly))
-        out += sum(r / w**p for p, r in res.items())
-        return out
-
-    def pf_taylor(const_poly, res, kmax):
-        out = [0j] * (kmax + 1)
-        for i, cc in enumerate(const_poly[: kmax + 1]):
-            out[i] += cc
-        for p, r in res.items():
-            for k in range(kmax + 1):
-                out[k] += r * _binom(k + p - 1, p - 1) * C**k
-        return {k: out[k] for k in range(kmax + 1)}
-
+    C = a * b
     if n == 0:
-        const_poly = [0j]
-        res = {}  # -Cx/(1-Cx)^2 = -1/(1-Cx)^2 + 1/(1-Cx): poles only
-        res = {1: 1.0 + 0j, 2: -1.0 + 0j}
+        # -Cx/(1-Cx)^2 = 1/(1-Cx) - 1/(1-Cx)^2
+        const_poly = []
+        res = {1: 1, 2: -1}
     elif n == 1:
-        const_poly = [0j]
+        const_poly = []
         res = {1: -(c - 4), 2: 3 * c - 8, 3: -2 * (c - 2)}
     elif n == 2:
         C2 = -(6 * a**2 * c**2 - 48 * a**2 * c + 57 * a**2 - 2) / (8 * a**2)
@@ -338,174 +296,104 @@ def _reglog_gf(n, params, c):
     else:
         raise NotImplementedError("regular-log family: n > 4 is left to the recurrence")
 
-    return GeneratingFunction(
-        "reglog",
-        n,
-        "x",
-        {"pole": "1/(a*beff)", "residues": res, "poly": const_poly},
-        lambda kmax: pf_taylor(const_poly, res, kmax),
-        lambda x: pf_value(const_poly, res, x),
-    )
+    return GeneratingFunction("reglog", n, dict(enumerate(const_poly)), res, C)
 
 
 # ---------------------------------------------------------------------------
-# irregular log family
+# irregular log family: one pole at x = 1/C, C = -2 ct[-1,3]
 
 
 def _irreglog_gf(n, params, ctilde):
-    a, b = params.a, params.beff
-    C = -2 * ctilde
-
-    def laurent_value(lneg, const, res, x):
-        out = lneg.get(-2, 0j) / x**2 + lneg.get(-1, 0j) / x + const
-        w = C * x - 1
-        out += sum(r / w**p for p, r in res.items())
-        return out
-
-    def laurent_taylor(lneg, const, res, mmax):
-        out = {m: c for m, c in lneg.items()}
-        out[0] = out.get(0, 0j) + const
-        for p, r in res.items():
-            sgn = (-1) ** p
-            for m in range(0, mmax + 1):
-                out[m] = out.get(m, 0j) + r * sgn * _binom(m + p - 1, p - 1) * C**m
-        return {m: v for m, v in out.items() if m <= mmax}
-
-    if n == 0:
-        # -x^2/(4 (1-Cx)^2)
-        def taylor(mmax):
-            out = {}
-            for m in range(2, mmax + 1):
-                out[m] = -0.25 * (m - 1) * C ** (m - 2)
-            return out
-
-        return GeneratingFunction(
-            "irreglog",
-            0,
-            "x",
-            {"pole_order": 2},
-            taylor,
-            lambda x: -1.0 / (4 * (1.0 / x - C) ** 2),
-        )
-
-    if n == 1:
-        c0 = a * b / 2
-
-        def value(x):
-            num = ((C**2 + C + 1) * x**2 - (2 * C + 1) * x + 1) * ((C + 1) * x - 1)
-            return c0 * num / (C * x - 1) ** 3
-
-        def taylor(mmax):
-            # ct[1,0] = a*beff/2 and the explicit family for m >= 1
-            out = {0: c0}
-            for m in range(1, mmax + 1):
-                out[m] = -a * b * C ** (m - 3) * (
-                    C**2 - (m - 1) * C + (m - 1) * (m - 2) / 4.0
-                )
-            return out
-
-        return GeneratingFunction("irreglog", 1, "x", {"pole_order": 3}, taylor, value)
-
-    if n == 2:
-        if abs(C) < 1e-8:
-            raise ValueError("irregular-log closed form degenerates at ct[-1,3] = 0")
-        b2 = b * b
-        lneg = {-2: -b2 * (a**2 + 1) / 4, -1: b2 * ((a**2 + 1) * C + 2 * a**2 + 1) / 2}
-        P = (
-            64 * (a**2 + 1) * C**6
-            + 128 * (2 * a**2 + 1) * C**5
-            + 8 * (71 * a**2 + 19) * C**4
-            + 24 * (37 * a**2 + 5) * C**3
-            + 4 * (239 * a**2 + 15) * C**2
-            + (623 * a**2 + 15) * C
-            + 192 * a**2
-        )
-        pref = -b2 / (256 * C**4)
-        const = pref * P
-        # the pole residues carry the opposite sign from the polynomial part
-        # (anchored on the recurrence table, which reproduces the explicit
-        # level-2 coefficient list)
-        res = {
-            4: -pref * (-192 * a**2),
-            3: -pref * (-((623 * a**2 + 15) * C + 768 * a**2)),
-            2: -pref
-            * (-(4 * (239 * a**2 + 15) * C**2 + 3 * (623 * a**2 + 15) * C + 1152 * a**2)),
-            1: -pref
-            * (
-                -(
-                    24 * (37 * a**2 + 5) * C**3
-                    + 8 * (239 * a**2 + 15) * C**2
-                    + 3 * (623 * a**2 + 15) * C
-                    + 768 * a**2
-                )
-            ),
-        }
-        return GeneratingFunction(
-            "irreglog",
-            2,
-            "x",
-            {"residues": res, "laurent": lneg},
-            lambda mmax: laurent_taylor(lneg, const, res, mmax),
-            lambda x: laurent_value(lneg, const, res, x),
-        )
-
-    if n == 3:
-        if abs(C) < 1e-8:
-            raise ValueError("irregular-log closed form degenerates at ct[-1,3] = 0")
-        b3a = a * b**3
-        lneg = {
-            -2: b3a * (a**2 + 1) / 4,
-            -1: -b3a * (4 * (a**2 + 1) * C + 13 * a**2 + 9) / 8,
-        }
-        Q = (
-            (a**2 + 1) * C**7
-            + (13 * a**2 + 9) * C**6 / 2
-            + (176 * a**2 + 83) * C**5 / 9
-            + (7685 * a**2 + 2309) * C**4 / 216
-            + (111659 * a**2 + 20171) * C**3 / 2592
-            + (33815 * a**2 + 3311) * C**2 / 972
-            + 3 * (367 * a**2 + 15) * C / 64
-            + 4 * a**2
-        )
-        k1 = (
-            (7685 * a**2 + 2309) * C**4 / 216
-            + (111659 * a**2 + 20171) * C**3 / 1296
-            + (33815 * a**2 + 3311) * C**2 / 324
-            + 3 * (367 * a**2 + 15) * C / 16
-            + 20 * a**2
-        )
-        k2 = (
-            (111659 * a**2 + 20171) * C**3 / 2592
-            + (33815 * a**2 + 3311) * C**2 / 324
-            + 9 * (367 * a**2 + 15) * C / 32
-            + 40 * a**2
-        )
-        k3 = (
-            (33815 * a**2 + 3311) * C**2 / 972
-            + 3 * (367 * a**2 + 15) * C / 16
-            + 40 * a**2
-        )
-        k4 = 3 * (367 * a**2 + 15) * C / 64 + 20 * a**2
-        pref = b3a / (4 * C**5)
-        const = pref * Q
-        res = {5: pref * 4 * a**2, 4: pref * k4, 3: pref * k3, 2: pref * k2, 1: pref * k1}
-        return GeneratingFunction(
-            "irreglog",
-            3,
-            "x",
-            {"residues": res, "laurent": lneg},
-            lambda mmax: laurent_taylor(lneg, const, res, mmax),
-            lambda x: laurent_value(lneg, const, res, x),
-        )
-
     if n == 4:
-        def taylor(mmax):
+        def table(mmax):
             exp = irreglog_coeffs(params, ctilde, K=4, M=mmax)
             return {m: c for (k, m), c in exp.coeffs.items() if k == 4}
 
-        return GeneratingFunction("irreglog", 4, "x", None, taylor, None)
-
-    raise NotImplementedError("irregular-log family: n > 4 is left to the recurrence")
+        return GeneratingFunction("irreglog", 4, table=table)
+    if n > 4:
+        raise NotImplementedError("irregular-log family: n > 4 is left to the recurrence")
+    if abs(ctilde) < IRREGLOG_CT_MIN:
+        raise SmallCtildeError(
+            f"irregular-log closed forms need |ct[-1,3]| >= {IRREGLOG_CT_MIN}"
+        )
+    a, b = params.a, params.beff
+    C = -2 * ctilde
+    start = 0
+    if n == 0:
+        # -x^2 / (4 (1 - Cx)^2), whose orders 0 and 1 vanish
+        q = 1 / (4 * C**2)
+        poly, res, start = {0: -q}, {1: 2 * q, 2: -q}, 2
+    elif n == 1:
+        # (a b/2) ((C^2+C+1) x^2 - (2C+1) x + 1) ((C+1) x - 1) / (Cx - 1)^3
+        q = a * b / (2 * C**3)
+        poly = {0: q * (C**3 + 2 * C**2 + 2 * C + 1)}
+        res = {1: -q * (2 * C**2 + 4 * C + 3), 2: q * (2 * C + 3), 3: -q}
+    elif n == 2:
+        b2 = b * b
+        pref = -b2 / (256 * C**4)
+        poly = {
+            -2: -b2 * (a**2 + 1) / 4,
+            -1: b2 * ((a**2 + 1) * C + 2 * a**2 + 1) / 2,
+            0: pref
+            * (
+                64 * (a**2 + 1) * C**6
+                + 128 * (2 * a**2 + 1) * C**5
+                + 8 * (71 * a**2 + 19) * C**4
+                + 24 * (37 * a**2 + 5) * C**3
+                + 4 * (239 * a**2 + 15) * C**2
+                + (623 * a**2 + 15) * C
+                + 192 * a**2
+            ),
+        }
+        numer = {
+            4: 192 * a**2,
+            3: (623 * a**2 + 15) * C + 768 * a**2,
+            2: 4 * (239 * a**2 + 15) * C**2 + 3 * (623 * a**2 + 15) * C + 1152 * a**2,
+            1: 24 * (37 * a**2 + 5) * C**3
+            + 8 * (239 * a**2 + 15) * C**2
+            + 3 * (623 * a**2 + 15) * C
+            + 768 * a**2,
+        }
+    else:
+        b3a = a * b**3
+        pref = b3a / (4 * C**5)
+        poly = {
+            -2: b3a * (a**2 + 1) / 4,
+            -1: -b3a * (4 * (a**2 + 1) * C + 13 * a**2 + 9) / 8,
+            0: pref
+            * (
+                (a**2 + 1) * C**7
+                + (13 * a**2 + 9) * C**6 / 2
+                + (176 * a**2 + 83) * C**5 / 9
+                + (7685 * a**2 + 2309) * C**4 / 216
+                + (111659 * a**2 + 20171) * C**3 / 2592
+                + (33815 * a**2 + 3311) * C**2 / 972
+                + 3 * (367 * a**2 + 15) * C / 64
+                + 4 * a**2
+            ),
+        }
+        numer = {
+            5: 4 * a**2,
+            4: 3 * (367 * a**2 + 15) * C / 64 + 20 * a**2,
+            3: (33815 * a**2 + 3311) * C**2 / 972
+            + 3 * (367 * a**2 + 15) * C / 16
+            + 40 * a**2,
+            2: (111659 * a**2 + 20171) * C**3 / 2592
+            + (33815 * a**2 + 3311) * C**2 / 324
+            + 9 * (367 * a**2 + 15) * C / 32
+            + 40 * a**2,
+            1: (7685 * a**2 + 2309) * C**4 / 216
+            + (111659 * a**2 + 20171) * C**3 / 1296
+            + (33815 * a**2 + 3311) * C**2 / 324
+            + 3 * (367 * a**2 + 15) * C / 16
+            + 20 * a**2,
+        }
+    if n >= 2:
+        # levels 2 and 3 start at their heads x^-2, x^-1 and carry
+        # pref numer[p] / (Cx - 1)^p
+        start = -2
+        res = {p: (-1) ** p * pref * v for p, v in numer.items()}
+    return GeneratingFunction("irreglog", n, poly, res, C, start)
 
 
 def genfun(
@@ -522,37 +410,26 @@ def genfun(
 
     family 'power' needs (sigma, b11); 'reglog' needs c; 'irreglog' needs
     ctilde (= ct[-1,3]).  n > 4 raises NotImplementedError: those members
-    are served by the recurrence tables.
+    are served by the recurrence tables.  The irregular-log closed forms
+    (n <= 3) raise SmallCtildeError for |ctilde| < IRREGLOG_CT_MIN.
     """
     if n < 0:
         raise ValueError("n >= 0")
-    if family == "power":
-        if sigma is None or b11 is None:
-            raise ValueError("power family needs sigma and b11")
-        if n > 2:
-            return _power_gf(n, params, complex(sigma), complex(b11))
-        # the closed forms cancel digits near sigma = -2 (up to 1e-11 in
-        # double), so they run in extended precision
-        xp = SimpleNamespace(a=_XP(params.a), beff=_XP(params.beff))
-        g = _power_gf(n, xp, _XP(sigma), _XP(b11))
-
-        def builtin(v):
-            if isinstance(v, dict):
-                return {k: builtin(x) for k, x in v.items()}
-            return complex(v) if isinstance(v, _XP) else v
-
-        return replace(
-            g,
-            closed_form=builtin(g.closed_form),
-            _taylor=lambda kmax: builtin(g.taylor(kmax)),
-            _value=lambda x: complex(g.value(x)),
-        )
-    if family == "reglog":
-        if c is None:
-            raise ValueError("reglog family needs c")
-        return _reglog_gf(n, params, complex(c))
-    if family == "irreglog":
-        if ctilde is None:
-            raise ValueError("irreglog family needs ctilde")
-        return _irreglog_gf(n, params, complex(ctilde))
-    raise ValueError(f"unknown family {family!r}")
+    seeds = {
+        "power": dict(sigma=sigma, b11=b11),
+        "reglog": dict(c=c),
+        "irreglog": dict(ctilde=ctilde),
+    }
+    if family not in seeds:
+        raise ValueError(f"unknown family {family!r}")
+    if None in seeds[family].values():
+        raise ValueError(f"{family} family needs {' and '.join(seeds[family])}")
+    builder = {"power": _power_gf, "reglog": _reglog_gf, "irreglog": _irreglog_gf}[family]
+    args = seeds[family].values()
+    xp = SimpleNamespace(a=_XP(params.a), beff=_XP(params.beff))
+    g = builder(n, xp, *map(_XP, args))
+    if g.table is not None:
+        # the recurrence tables take builtin complex and return it
+        return builder(n, params, *map(complex, args))
+    g.cast = complex
+    return g

@@ -1,9 +1,19 @@
 """Generating functions vs recurrence tables and explicit formulas."""
 
+from types import SimpleNamespace
+
+import mpmath
 import numpy as np
 import pytest
 
-from dp3.genfun import a2_residues, genfun
+from dp3.genfun import (
+    IRREGLOG_CT_MIN,
+    SmallCtildeError,
+    _irreglog_gf,
+    _power_gf,
+    a2_residues,
+    genfun,
+)
 from dp3.monodromy import ProblemParams
 from dp3.series import irreglog_coeffs, power_coeffs, reglog_coeffs
 
@@ -94,20 +104,75 @@ def test_irreglog_level1_closed_form():
         assert abs(t[m] - want) < 1e-12 * max(1.0, abs(want)), m
 
 
+CLOSED_FORMS = [("power", n) for n in range(3)]
+CLOSED_FORMS += [("reglog", n) for n in range(5)] + [("irreglog", n) for n in range(4)]
+SEEDS = {"power": dict(sigma=SIGMA, b11=B11), "reglog": dict(c=C), "irreglog": dict(ctilde=CT)}
+
+
 def test_value_matches_taylor_near_zero():
-    for fam, kw in (
-        ("power", dict(sigma=SIGMA, b11=B11)),
-        ("reglog", dict(c=C)),
-        ("irreglog", dict(ctilde=CT)),
-    ):
-        for n in range(0, 3):
-            fn = genfun(fam, n, PARAMS, **kw)
-            x = 0.01 + 0.003j
-            t = fn.taylor(24)
-            series_val = sum(c * x**k for k, c in t.items())
-            assert abs(fn.value(x) - series_val) < 1e-10 * max(
-                1.0, abs(series_val)
-            ), (fam, n)
+    x = 0.01 + 0.003j
+    for fam, n in CLOSED_FORMS:
+        fn = genfun(fam, n, PARAMS, **SEEDS[fam])
+        series_val = sum(c * x**k for k, c in fn.taylor(24).items())
+        assert abs(fn.value(x) - series_val) < 1e-10 * max(1.0, abs(series_val)), (fam, n)
+
+
+def test_partial_fractions_match_the_rational_forms():
+    # each member's data against the rational form it was decomposed from,
+    # at 30 digits, at points inside and outside the disc of convergence
+    with mpmath.workdps(30):
+        mpc = mpmath.mpc
+        p_mp = SimpleNamespace(a=mpc(A), beff=mpmath.mpf(1))
+        s, b11 = mpc(SIGMA), mpc(B11)
+        zfac = 4 * b11 / (s + 2) ** 2
+        c0 = p_mp.a * (2 + s) ** 2 / (2 * s**2 * (4 + s) ** 2 * b11)
+        Ct = -2 * mpc(CT)
+        forms = [
+            (_power_gf(0, p_mp, s, b11), lambda x, z: b11 * x / (1 + z) ** 2),
+            (
+                _power_gf(1, p_mp, s, b11),
+                lambda x, z: c0
+                * z
+                * (z * s - s - 4)
+                * (z * z * s + 2 * z * (s**2 + 4 * s + 2) - s - 4)
+                / (1 + z) ** 3,
+            ),
+            (_irreglog_gf(0, p_mp, mpc(CT)), lambda x, z: -(x**2) / (4 * (1 - Ct * x) ** 2)),
+            (
+                _irreglog_gf(1, p_mp, mpc(CT)),
+                lambda x, z: p_mp.a
+                / 2
+                * ((Ct**2 + Ct + 1) * x**2 - (2 * Ct + 1) * x + 1)
+                * ((Ct + 1) * x - 1)
+                / (Ct * x - 1) ** 3,
+            ),
+        ]
+        for g, form in forms:
+            for x in (mpc(0.01, 0.003), mpc(-0.4, 0.7), mpc(3, -2)):
+                want = form(x, zfac * x)
+                assert abs(g.value(x) - want) <= 1e-26 * max(1, abs(want)), (g.family, g.n, x)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_irreglog_small_ctilde_raises_or_meets_bound(n):
+    # below IRREGLOG_CT_MIN the closed forms raise; above it they match the
+    # recurrence table (exact at every ct) to 1e-12 relative to max(1, |c|)
+    raised = 0
+    for r in np.logspace(-6, np.log10(0.5), 25):
+        for phase in (1, 1j, -0.6 + 0.8j):
+            ct = r * phase
+            try:
+                t = genfun("irreglog", n, PARAMS, ctilde=ct).taylor(10)
+            except SmallCtildeError:
+                assert abs(ct) < IRREGLOG_CT_MIN
+                raised += 1
+                continue
+            ref = irreglog_coeffs(PARAMS, ct, K=4, M=12).coeffs
+            for m, v in t.items():
+                if (n, m) in ref:
+                    want = ref[(n, m)]
+                    assert abs(v - want) <= 1e-12 * max(1.0, abs(want)), (ct, m)
+    assert raised > 0
 
 
 def test_not_implemented_beyond_four():

@@ -104,6 +104,23 @@ def test_complete_from_G_g11_zero_paths():
         complete_from_G(params, 0, 1.0, -2.0, g22=g22, s00=0.5)
 
 
+def test_complete_from_G_g22_zero_paths():
+    # g12*g21 = -1 with g11 != 0 puts g22 = 0, where s00 drops out of the
+    # mixed relation: these two points once divided by zero and landed
+    # 9.5e-7 off the manifold
+    params = ProblemParams(0.5, 1.0, 1)
+    for g12 in (1j, (1 - 1e-10) * 1j):
+        with pytest.raises(UnderdeterminedError):
+            complete_from_G(params, 1, g12, 1j)
+    # with s00 supplied the manifold forces g11*g12 = -i e^{-pi a}
+    g12 = -1j * cmath.exp(-math.pi * 0.5)
+    data = complete_from_G(params, 1, g12, -1 / g12, s00=0.3 - 0.2j)
+    assert data.g[3] == 0 and data.s00 == 0.3 - 0.2j
+    assert residual_norm(data) < 1e-12
+    with pytest.raises(ValueError):
+        complete_from_G(params, 1, 1.01 * g12, -1 / (1.01 * g12), s00=0.3)
+
+
 def test_complete_from_g11_g21_s00():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -3,10 +3,11 @@
 import cmath
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dp3.monodromy import (
     ProblemParams,
+    UnderdeterminedError,
     backlund_data,
     complete_from_G,
     data_from_json,
@@ -57,7 +58,11 @@ def test_pow_principal_addition_law(base, e1, e2):
 @settings(max_examples=40, deadline=None)
 def test_completion_json_backlund_properties(a, g11, g12, g21):
     params = ProblemParams(a, 1.0, 1)
-    data = complete_from_G(params, g11, g12, g21)
+    try:
+        data = complete_from_G(params, g11, g12, g21)
+    except UnderdeterminedError:
+        # g12*g21 ~ -1 puts g22 ~ 0, where G alone does not fix s00
+        assume(False)
     # on-manifold by construction, including the never-used relation
     assert residual_norm(data) < 1e-9
     # JSON round trip is exact up to float repr
