@@ -27,8 +27,9 @@ from dp3.series import (
     SeriesExpansion,
     eval_expansion,
     irreglog_coeffs,
-    phi_series,
+    phi_exponent,
     power_coeffs,
+    regrouped_taylor,
     reglog_coeffs,
 )
 from dp3.specfun import EULER_GAMMA, digamma, gamma, pow_principal
@@ -620,7 +621,9 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
     Every power-like regime reads its amplitude pair from _power_pair:
     exp(i phi) ~ e^{3 i pi/2} e^{-pi a/2} (2 pi / (w_a w_b)) (2 tau^2)^{i a},
     or e^{3 i pi/2} e^{pi a/2} (w_a w_b / 2 pi) (2 tau^2)^{i a} for the
-    (w3, w4)-like pairs.
+    (w3, w4)-like pairs.  The log regimes and the special families with
+    |Im a| < 1 use their closed forms; every other regime is prefactor *
+    exp(phi_exponent) of its series, read through order N.
     """
     tau = complex(tau)
     data = profile.data
@@ -668,42 +671,6 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
         val = cmath.exp(1.5j * PI) * cmath.exp(-side * PI * a / 2) * amp
         return val * _tau2ia(tau, a), profile.correction_orders
 
-    if "b1m1" in co:
-        # Im a <= -1: exponent-series form
-        n = profile.regime.subcase.get("n", 1)
-        exp = series_for_regime(profile, K=max(N + 1, n + 1))
-        ps = phi_series("middle", exp, N)
-        sigma, b1m1 = co["sigma"], co["b1m1"]
-        pre = (
-            -1j
-            * cmath.exp(PI * a)
-            * gamma(1 + 1j * a) ** 2
-            / (2 * PI * a * g21**2)
-            * pow_principal(beff / 4, -1j * a)
-        )
-        expo = ps.exponent_value(tau) + 1j * (4 * a * a / beff) * b1m1 * pow_principal(
-            tau, -sigma
-        ) / sigma
-        return pre * cmath.exp(expo), (float(2 * n),)
-
-    if "b11" in co:
-        # Im a >= 1
-        n = profile.regime.subcase.get("n", 1)
-        exp = series_for_regime(profile, K=max(N + 1, n + 1))
-        ps = phi_series("middle", exp, N)
-        sigma, b11 = co["sigma"], co["b11"]
-        pre_inv = (
-            1j
-            * cmath.exp(PI * a)
-            * gamma(1 - 1j * a) ** 2
-            / (2 * PI * a * g12**2)
-            * pow_principal(beff / 4, 1j * a)
-        )
-        expo_inv = -ps.exponent_value(tau) + 1j * (4 * a * a / beff) * b11 * (
-            pow_principal(tau, sigma) / sigma
-        )
-        return 1 / (pre_inv * cmath.exp(expo_inv)), (float(2 * n),)
-
     if tag is RegimeTag.LOG_RHO0:
         lt = cmath.log(tau)
         c = co["c"]
@@ -734,45 +701,13 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
         )
         return val, (4.0,)
 
-    if tag is RegimeTag.MEROMORPHIC_VANISHING:
-        exp = series_for_regime(profile, K=max(N + 1, 3))
-        if profile.regime.subcase.get("family") == "odd":
-            ps = phi_series("middle", exp, N)
-            pre_inv = (
-                1j
-                * cmath.exp(PI * a)
-                * gamma(1 - 1j * a) ** 2
-                / (2 * PI * a * g12**2)
-                * pow_principal(beff / 4, 1j * a)
-            )
-            return 1 / (pre_inv * cmath.exp(-ps.exponent_value(tau))), (
-                float(2 * N + 2),
-            )
-        n = profile.regime.subcase["n"]
-        dfac = float(_double_factorial(2 * n - 1))
-        if a.imag > 0:
-            ps = phi_series("vanishing-plus", exp, N)
-            pre_inv = (
-                (-1) ** n
-                * 1j
-                * dfac**2
-                / (2 * beff ** (n - 0.5) * g12**2 * (2 * n - 1))
-            )
-            return 1 / (pre_inv * cmath.exp(ps.exponent_value(tau))), (float(N + 1),)
-        ps = phi_series("vanishing-minus", exp, N)
-        pre = (
-            (-1) ** n
-            * 1j
-            * dfac**2
-            / (2 * beff ** (n - 0.5) * g21**2 * (2 * n - 1))
-        )
-        return pre * cmath.exp(ps.exponent_value(tau)), (float(N + 1),)
-
+    # the table side: exp(i phi) = pre * exp(phi_exponent) with a closed-form
+    # prefactor that carries the log term and the constant of integration
+    subcase = profile.regime.subcase
     if tag is RegimeTag.MEROMORPHIC_NONVANISHING:
         exp = series_for_regime(profile, K=max(N + 2, 3))
-        ps = phi_series("nonvanishing", exp, N)
-        expo = ps.exponent_value(tau)
-        if profile.regime.subcase.get("family") == "generic":
+        expo = phi_exponent(regrouped_taylor(exp, 1, N), beff, tau, N)
+        if subcase.get("family") == "generic":
             pre = (
                 cmath.exp(-0.75j * PI)
                 * gamma(0.75 - 0.5j * a)
@@ -780,49 +715,54 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
                 * ((g12 + g22) / (g11 + g21))
                 * _tau2ia(tau, a)
             )
-            return pre * cmath.exp(expo), (float(N + 1),)
-        m = profile.regime.subcase["m"]
-        if m >= 1:
-            if m % 2 == 0:
-                n = (m - 2) // 2
-                pre = (
-                    cmath.exp(-0.25j * PI)
-                    * (-1) ** n
-                    * math.factorial(2 * n + 1)
-                    * data.s1inf
-                    / (math.sqrt(2 * PI) * (2 * tau) ** (4 * n + 3))
-                )
-            else:
-                n = (m - 1) // 2
-                pre = (
-                    cmath.exp(0.25j * PI)
-                    * (-1) ** n
-                    * math.factorial(2 * n)
-                    * data.s1inf
-                    / (math.sqrt(2 * PI) * (2 * tau) ** (4 * n + 1))
-                )
         else:
-            nn = 1 - m
-            if nn % 2 == 0:
-                n = (nn - 2) // 2
-                pre = (
-                    cmath.exp(-0.25j * PI)
-                    * math.sqrt(2 * PI)
-                    * (-1) ** n
-                    * (2 * tau) ** (4 * n + 3)
-                    / (math.factorial(2 * n + 1) * data.s0inf)
-                )
-            else:
-                n = (nn - 1) // 2
-                pre = (
-                    cmath.exp(0.25j * PI)
-                    * math.sqrt(2 * PI)
-                    * (2 * tau) ** (4 * n + 1)
-                    / ((-1) ** n * math.factorial(2 * n) * data.s0inf)
-                )
+            # a = i(m - 1/2): s1inf multiplies for m >= 1, s0inf divides for
+            # the mirror m <= 0
+            m = subcase["m"]
+            j, s, side = (m - 1, data.s1inf, 1) if m >= 1 else (-m, data.s0inf, -1)
+            r = math.factorial(j) * s / (math.sqrt(2 * PI) * (2 * tau) ** (2 * j + 1))
+            pre = cmath.exp(0.25j * PI * (-1) ** j) * (-1) ** (j // 2) * r**side
         return pre * cmath.exp(expo), (float(N + 1),)
 
-    raise ValueError(f"unhandled regime {tag}")
+    if tag is RegimeTag.MEROMORPHIC_VANISHING and subcase.get("family") == "half":
+        # a = i(n - 1/2) (Im a > 0, g12) or its mirror (Im a < 0, g21)
+        exp = series_for_regime(profile, K=max(N + 1, 3))
+        taylor = regrouped_taylor(exp, round(co["sigma"].real), N + 1)
+        n = subcase["n"]
+        g, side = (g12, -1) if a.imag > 0 else (g21, 1)
+        q = (-1) ** n * 1j * _double_factorial(2 * n - 1) ** 2 / (
+            2 * beff ** (n - 0.5) * g**2 * (2 * n - 1)
+        )
+        return q**side * cmath.exp(phi_exponent(taylor, beff, tau, N)), (float(N + 1),)
+
+    # the special families deep in their series side (|Im a| >= 1) and the
+    # odd vanishing family read the middle column b[2k-1,0]; the b1m1 (b11)
+    # side adds its own term to the exponent
+    exp = series_for_regime(profile, K=max(N + 1, 3))
+    middle = {2 * k - 1: exp.coeffs[(k, 0)] for k in range(1, N + 2)}
+    expo = phi_exponent(middle, beff, tau, 2 * N)
+    sigma = co["sigma"]
+    if "b1m1" in co:
+        pre = (
+            -1j
+            * cmath.exp(PI * a)
+            * gamma(1 + 1j * a) ** 2
+            / (2 * PI * a * g21**2)
+            * pow_principal(beff / 4, -1j * a)
+        )
+        expo += 4j * a * a / beff * co["b1m1"] * pow_principal(tau, -sigma) / sigma
+        return pre * cmath.exp(expo), (2.0,)
+    pre_inv = (
+        1j
+        * cmath.exp(PI * a)
+        * gamma(1 - 1j * a) ** 2
+        / (2 * PI * a * g12**2)
+        * pow_principal(beff / 4, 1j * a)
+    )
+    if "b11" in co:
+        expo -= 4j * a * a / beff * co["b11"] * pow_principal(tau, sigma) / sigma
+        return cmath.exp(expo) / pre_inv, (2.0,)
+    return cmath.exp(expo) / pre_inv, (float(2 * N + 2),)
 
 
 # ---------------------------------------------------------------------------
@@ -835,8 +775,11 @@ def series_for_regime(profile: AsymptoticProfile, K: int = 6, M: int = 12) -> Se
     Maps the regime's amplitude data onto the seeds of the matching family:
     regular log for the exponent-0 log family, irregular log for the
     exponent-1/2 one (ct[-1,3] = c_-/4), the Taylor seeds of the meromorphic
-    regimes, and for every power regime the power-like family seeded by
-    uniform_seeds (the branching representative inside |Re sigma| <= 2).
+    regimes, and for every power regime off the pole line the power-like
+    family seeded by uniform_seeds (the branching representative inside
+    |Re sigma| <= 2).  The pole regimes (pole accumulation and the special
+    pole variants) sit at Re sigma = -2, where every level contributes O(1):
+    they raise DomainError.
     """
     params = profile.data.params
     tag = profile.regime.tag
@@ -857,6 +800,10 @@ def series_for_regime(profile: AsymptoticProfile, K: int = 6, M: int = 12) -> Se
     if tag is RegimeTag.MEROMORPHIC_NONVANISHING:
         return power_coeffs(params, 1.0 + 0j, b1m1=co["b1m1_tilde"], K=K)
 
+    if tag is RegimeTag.POLE_ACCUMULATION or profile.regime.subcase.get("poles"):
+        raise DomainError(
+            "no convergent level sum on the pole line; use eval_u or eval_uniform"
+        )
     sigma, b11, b1m1 = uniform_seeds(profile)
     return power_coeffs(params, sigma, b11=b11, b1m1=b1m1, K=K)
 

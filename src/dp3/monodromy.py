@@ -238,9 +238,10 @@ def complete_from_G(
 ) -> MonodromyData:
     """Complete (a, G) to a manifold point.
 
-    For g11 != 0: g22 follows from det G = 1, s00 from the mixed relation,
-    the Stokes multipliers at infinity from their factorizations.  The
-    Stokes product relation is never used and must then hold identically
+    For g11 != 0: g22 follows from det G = 1 (a supplied g22 must satisfy
+    it, else ValueError), s00 from the mixed relation, the Stokes
+    multipliers at infinity from their factorizations.  The Stokes product
+    relation is never used and must then hold identically
     (the five equations are dependent).  For g11 = 0 the point is
     underdetermined unless both g22 and s00 are supplied.  For g22 ~ 0
     (|g11 g22| below G22_MIN max(1, |g12 g21|)) s00 drops out of the mixed
@@ -254,6 +255,8 @@ def complete_from_G(
     if g11 != 0:
         if g22 is None:
             g22 = (1 + g12 * g21) / g11
+        elif abs(g11 * complex(g22) - g12 * g21 - 1) > 1e-10 * max(1.0, abs(g12 * g21)):
+            raise ValueError("the supplied g22 violates det G = 1")
         g22 = complex(g22)
         if abs(g11 * g22) >= G22_MIN * max(1.0, abs(g12 * g21)):
             s00 = (1j * ema - g21 * g22 + g11 * g12) / (g11 * g22)
@@ -478,12 +481,9 @@ def classify(data: MonodromyData, tol: float = 1e-9) -> Regime:
             return Regime(
                 RegimeTag.MEROMORPHIC_VANISHING, {"family": "half", "n": 1 - m_half}
             )
-        if m_half >= 1 and s0z:
-            return Regime(
-                RegimeTag.MEROMORPHIC_NONVANISHING, {"family": "half", "m": m_half}
-            )
+        # a = i(m - 1/2) on either side, the index complete_special decodes
         return Regime(
-            RegimeTag.MEROMORPHIC_NONVANISHING, {"family": "half", "m": m_half - 1}
+            RegimeTag.MEROMORPHIC_NONVANISHING, {"family": "half", "m": m_half}
         )
 
     conflicts = sum([s0z, s1z]) + sum([s00_is_2i, s00_is_m2i])

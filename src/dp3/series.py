@@ -10,6 +10,10 @@ Three convergent local families cover the solution landscape near tau = 0
 
 Level-1 anchors fix the free data; every higher level follows from the
 equation itself by collecting rows of the polynomial defect (see _expand).
+
+phi_exponent gives the exponent of exp(i*phi) from a Taylor table of eps*u
+(phi' = 2a/tau + b/u): the special and meromorphic regimes regroup their
+table onto integer powers (regrouped_taylor) or read its middle column.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
@@ -35,9 +39,8 @@ __all__ = [
     "reglog_coeffs",
     "irreglog_coeffs",
     "eval_expansion",
-    "PhiExpansion",
-    "phi_series",
     "regrouped_taylor",
+    "phi_exponent",
     "export_csv",
 ]
 
@@ -426,93 +429,35 @@ def regrouped_taylor(exp: SeriesExpansion, step: int, n_max: int) -> Dict[int, c
     return out
 
 
-@dataclass
-class PhiExpansion:
-    """Exponent series of exp(i*phi) for the power-like special regimes.
-
-    kind selects the normalization:
-      'even'  : phi ~ const - sum p_N tau^(2N)           (middle-column data)
-      'xi'    : exponent -(2n-1) sum xi_n tau^n / n      (vanishing, Im a>0)
-      'nu'    : exponent -(2n-1) sum nu_n tau^n / n      (vanishing, Im a<0)
-      'eta'   : exponent  i beff/f0 (tau + sum eta_n tau^(n+1)/(n+1))
-    """
-
-    kind: str
-    coeffs: Dict[int, complex]
-    prefactor: complex | None = None
-    meta: dict = field(default_factory=dict)
-
-    def exponent_value(self, tau: complex) -> complex:
-        """The argument of the exponential (the i is included per kind)."""
-        if self.kind == "even":
-            s = sum(c * tau ** (2 * N) for N, c in self.coeffs.items())
-            return -1j * s
-        if self.kind in ("xi", "nu"):
-            scale = self.meta["scale"]  # -(2n-1)
-            s = sum(c * tau**n / n for n, c in self.coeffs.items())
-            return scale * s
-        if self.kind == "eta":
-            f0 = self.meta["f0"]
-            beff = self.meta["beff"]
-            s = tau + sum(c * tau ** (n + 1) / (n + 1) for n, c in self.coeffs.items())
-            return 1j * beff / f0 * s
-        raise ValueError(self.kind)
-
-
-def pn_coefficients(params: ProblemParams, middle: Dict[int, complex], N_max: int):
-    """p_N of the exp(i*phi) exponent for the middle-column families:
-    p_N = (a/N) sum_k (2a/beff)^k sum_{M(k,N)} multinomial * prod b[2l+1,0]^m_l."""
-    a, beff = params.a, params.beff
-    sums = inverse_power_sums(middle, 2 * a / beff, N_max)
-    return {N: a / N * tot for N, tot in sums.items()}
-
-
 def inverse_power_sums(ratios: Dict[int, complex], weight: complex, n_max: int):
     """[x^n] of 1/(1 - weight*R(x)), R(x) = sum_i ratios[i] x^i, for n = 1..n_max:
-    sum_k weight^k sum_{M(k,n)} multinomial prod ratios[i]^(m_i).
-
-    The common combinatorial core of the xi/nu/eta exponent series."""
+    sum_k weight^k sum_{M(k,n)} multinomial prod ratios[i]^(m_i)."""
     S = [1 + 0j]
     for n in range(1, n_max + 1):
         S.append(weight * sum(ratios.get(i, 0j) * S[n - i] for i in range(1, n + 1)))
     return {n: S[n] for n in range(1, n_max + 1)}
 
 
-def phi_series(regime_kind: str, exp: SeriesExpansion, N: int) -> PhiExpansion:
-    """Exponent series of exp(i*phi) built from an expansion table.
+def phi_exponent(
+    taylor: Dict[int, complex], beff: float, tau: complex, n_max: int
+) -> complex:
+    """The exponent of exp(i*phi) that a Taylor table of eps*u gives.
 
-    regime_kind in {'middle', 'vanishing-plus', 'vanishing-minus',
-    'nonvanishing'}; the caller supplies the matching expansion (power-like
-    with sigma = -2ia, the half-integer specialization, or sigma = 1).
+    phi' = 2a/tau + b/u, so i*phi = 2ia log(tau) + i*beff * int dtau/(eps*u).
+    For eps*u = sum_p taylor[p] tau^p whose lowest nonzero power p0 is 0 or
+    1 this returns the integral's series through tau^(n_max + 1 - p0), read
+    from taylor[p0..p0 + n_max]; its log term (p0 = 1) and its constant are
+    left to the caller's prefactor.
     """
-    params = exp.params
-    a, beff = params.a, params.beff
-    if regime_kind == "middle":
-        middle = {
-            l: exp.coeffs.get((l + 1, 0), 0j) for l in range(1, N + 1)
-        }
-        if exp.K < N + 1:
-            raise ValueError("expansion too short for the requested order")
-        return PhiExpansion("even", pn_coefficients(params, middle, N))
-    if regime_kind in ("vanishing-plus", "vanishing-minus"):
-        # sigma = 2n-1 (plus: a = i(n-1/2)) or -(2n-1) (minus)
-        step = round(exp.sigma.real) if exp.sigma else 0
-        taylor = regrouped_taylor(exp, step, N + 1)
-        nn = (abs(step) + 1) // 2
-        ratios = {i: taylor.get(i + 1, 0j) for i in range(1, N + 1)}
-        coeffs = inverse_power_sums(ratios, 2 * a / beff, N)
-        return PhiExpansion(
-            "xi" if regime_kind == "vanishing-plus" else "nu",
-            coeffs,
-            meta={"scale": -(2 * nn - 1)},
-        )
-    if regime_kind == "nonvanishing":
-        taylor = regrouped_taylor(exp, 1, N + 1)
-        f0 = taylor.get(0, 0j)
-        ratios = {i: taylor.get(i, 0j) / f0 for i in range(1, N + 1)}
-        coeffs = inverse_power_sums(ratios, -1.0 + 0j, N)
-        return PhiExpansion("eta", coeffs, meta={"f0": f0, "beff": beff})
-    raise ValueError(regime_kind)
+    p0 = min(p for p, c in taylor.items() if c != 0)
+    if p0 not in (0, 1):
+        raise ValueError(f"lowest power {p0} of eps*u is not 0 or 1")
+    f0 = taylor[p0]
+    ratios = {i: taylor.get(p0 + i, 0j) / f0 for i in range(1, n_max + 1)}
+    recip = {0: 1.0, **inverse_power_sums(ratios, -1.0, n_max)}
+    # [tau^n] of f0/(eps*u) integrates to tau^e/e, e = n + 1 - p0 (e = 0: the log)
+    s = sum(c * tau**e / e for n, c in recip.items() if (e := n + 1 - p0))
+    return 1j * beff / f0 * s
 
 
 def export_csv(exp: SeriesExpansion, path: str):

@@ -393,6 +393,28 @@ def test_series_for_regime_consistency_generic():
         assert abs(r.value - u) < 5 * abs(u) * tau**q
 
 
+def test_series_for_regime_refuses_the_pole_line():
+    # on Re sigma = -2 every level contributes O(1): the level sum cannot
+    # converge, so the pole regimes get no table (eval_u and eval_uniform
+    # still evaluate them)
+    params = ProblemParams(0.1, 1.0, 1)
+    s00 = -2j * math.cosh(2 * math.pi)
+    pole = complete_from_g11_g21_s00(params, 0.9, 0.4 + 0.2j, s00)
+    plus = complete_special(
+        RegimeTag.SPECIAL_POWER_PLUS, ProblemParams(0.6 + 1j, 1.0, 1), g21=0.8, s1inf=0.5
+    )
+    minus = complete_special(
+        RegimeTag.SPECIAL_POWER_MINUS, ProblemParams(0.6 - 1j, 1.0, 1), g12=0.8, s0inf=0.5
+    )
+    for data in (pole, plus, minus):
+        prof = build_profile(data)
+        assert prof.regime.tag is RegimeTag.POLE_ACCUMULATION or prof.regime.subcase["poles"]
+        with pytest.raises(DomainError):
+            series_for_regime(prof, K=4)
+        u, _ = eval_u(prof, 0.3)
+        assert np.isfinite(abs(u)) and np.isfinite(abs(eval_uniform(prof, 0.3)))
+
+
 def test_identify_round_trip_and_cases():
     params = ProblemParams(0.25 + 0.1j, 1.0, 1)
     data = complete_from_G(params, 0.95 + 0.15j, 0.25 - 0.1j, 0.2 + 0.1j)

@@ -7,7 +7,13 @@ import pytest
 
 from dp3.asymptotics import build_profile, eval_phi, eval_u, series_for_regime
 from dp3.dynamics import IntegrateOptions, SolutionState, integrate
-from dp3.monodromy import ProblemParams, RegimeTag, classify, complete_special
+from dp3.monodromy import (
+    ProblemParams,
+    RegimeTag,
+    classify,
+    complete_from_g11_g21_s00,
+    complete_special,
+)
 from dp3.series import eval_expansion
 
 
@@ -37,6 +43,48 @@ def test_item3_u_and_phi_close_under_integration(tag, a, kw):
     assert abs(u1 - tr.u[-1]) < 1e-8 * abs(tr.u[-1])
     e1, _ = eval_phi(prof, tau1)
     assert abs(e1 - cmath.exp(1j * tr.phi[-1])) < 1e-6 * abs(e1)
+
+
+_HALF_V = dict(g12=0.9 + 0.2j, s0inf=0.4 - 0.1j)
+_HALF_V_MIRROR = dict(g21=0.8 - 0.3j, s1inf=0.5 + 0.2j)
+_HALF_NV = dict(g21=0.7 + 0.1j, s1inf=0.6 - 0.2j)
+_HALF_NV_MIRROR = dict(g12=0.9 - 0.2j, s0inf=0.45 + 0.3j)
+
+
+@pytest.mark.parametrize(
+    "tag,a,kw",
+    [
+        (RegimeTag.SPECIAL_POWER_PLUS, 0.4 - 1.3j, dict(g21=0.8, s1inf=0.5)),
+        (RegimeTag.SPECIAL_POWER_MINUS, 0.4 + 1.3j, dict(g12=0.8, s0inf=0.5)),
+        (RegimeTag.MEROMORPHIC_VANISHING, 0.3, dict(g21=1.0)),
+        (RegimeTag.MEROMORPHIC_VANISHING, 0.5j, _HALF_V),
+        (RegimeTag.MEROMORPHIC_VANISHING, 1.5j, _HALF_V),
+        (RegimeTag.MEROMORPHIC_VANISHING, -0.5j, _HALF_V_MIRROR),
+        (RegimeTag.MEROMORPHIC_VANISHING, -1.5j, _HALF_V_MIRROR),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, 0.3, None),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, 0.5j, _HALF_NV),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, 1.5j, _HALF_NV),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, 2.5j, _HALF_NV),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, -0.5j, _HALF_NV_MIRROR),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, -1.5j, _HALF_NV_MIRROR),
+        (RegimeTag.MEROMORPHIC_NONVANISHING, -2.5j, _HALF_NV_MIRROR),
+    ],
+)
+def test_eval_phi_satisfies_the_phi_equation(tag, a, kw):
+    # every table-side exp(i*phi) form obeys phi' = 2a/tau + b/u, with u from
+    # the regime's series: the log-derivative by central differences
+    params = ProblemParams(a, 1.0, 1)
+    if kw is None:  # generic nonvanishing: s00 = 0
+        data = complete_from_g11_g21_s00(params, 0.9 + 0.2j, 0.35 + 0.1j, 0j)
+    else:
+        data = complete_special(tag, params, **kw)
+    prof = build_profile(data)
+    assert prof.regime.tag is tag
+    tau, h = 1e-3, 1e-6
+    u = eval_expansion(series_for_regime(prof, K=8), tau).value
+    want = 1j * (2 * a / tau + params.b / u)
+    got = cmath.log(eval_phi(prof, tau + h)[0] / eval_phi(prof, tau - h)[0]) / (2 * h)
+    assert abs(got - want) < 1e-4 * abs(want)
 
 
 def test_lattice_orbit_accessor_fields():

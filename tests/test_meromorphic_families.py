@@ -114,7 +114,7 @@ def test_nonvanishing_half_integer_families(m):
     assert np.isfinite(ph.real) and abs(ph) > 0
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_nonvanishing_half_integer_mirror(m):
     a = -1j * (m - 0.5)
     params = ProblemParams(a, 1.0, 1)
@@ -124,6 +124,22 @@ def test_nonvanishing_half_integer_mirror(m):
     assert residual_norm(data) < 1e-12
     reg = classify(data)
     assert reg.tag is RegimeTag.MEROMORPHIC_NONVANISHING
+    # a = i(m' - 1/2) with m' = 1 - m, the index complete_special decodes
+    assert reg.subcase == {"family": "half", "m": 1 - m}
+    # two-seed closure of u and exp(i*phi), as on the s0inf = 0 side
+    prof = build_profile(data)
+    exp = series_for_regime(prof, K=6)
+    ends = []
+    for tau0 in (1e-3, 1e-4):
+        rr = eval_expansion(exp, tau0)
+        phi0 = -1j * cmath.log(eval_phi(prof, tau0)[0])
+        st = SolutionState(tau0, rr.value, rr.derivative, phi0)
+        tr = integrate(st, params, [2e-2], IntegrateOptions(rtol=1e-12))
+        assert tr.status == "done"
+        ends.append(tr.end_state)
+    assert abs(ends[0].u - ends[1].u) < 1e-9 * abs(ends[1].u)
+    e1, e2 = cmath.exp(1j * ends[0].phi), cmath.exp(1j * ends[1].phi)
+    assert abs(e1 - e2) < 1e-9 * abs(e2)
 
 
 def test_nonvanishing_generic_closure():

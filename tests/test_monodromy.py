@@ -121,6 +121,18 @@ def test_complete_from_G_g22_zero_paths():
         complete_from_G(params, 1, 1.01 * g12, -1 / (1.01 * g12), s00=0.3)
 
 
+def test_complete_from_G_supplied_g22_must_meet_det_G():
+    # with g11 != 0 a supplied g22 is checked against det G = 1, as the
+    # g11 = 0 branch checks its forced relations; this point once came back
+    # with det residual 3.94
+    params = ProblemParams(0.5, 1.0, 1)
+    with pytest.raises(ValueError):
+        complete_from_G(params, 1, 0.3, 0.2, g22=5)
+    data = complete_from_G(params, 1, 0.3, 0.2, g22=1 + 0.3 * 0.2)
+    assert data == complete_from_G(params, 1, 0.3, 0.2)
+    assert residual_norm(data) < 1e-12
+
+
 def test_complete_from_g11_g21_s00():
     rng = np.random.default_rng(3)
     for _ in range(50):

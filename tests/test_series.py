@@ -17,8 +17,7 @@ from dp3.series import (
     eval_expansion,
     inverse_power_sums,
     irreglog_coeffs,
-    phi_series,
-    pn_coefficients,
+    phi_exponent,
     power_coeffs,
     reglog_coeffs,
 )
@@ -492,15 +491,29 @@ def test_genfun_power_taylor_near_sigma_minus_two(a, sigma, b11):
     assert worst <= 1e-13
 
 
+def _middle_pn(exp, N_max):
+    """-i * [tau^(2N)] of phi_exponent on the middle column b[2k-1,0], for
+    N = 1..N_max: the exponent is a polynomial of degree 2 N_max in tau, so
+    its coefficients are read exactly on the unit circle."""
+    middle = {2 * k - 1: exp.coeffs[(k, 0)] for k in range(1, N_max + 2)}
+    M = 4 * N_max + 2
+    taus = [cmath.exp(2j * math.pi * j / M) for j in range(M)]
+    vals = [phi_exponent(middle, exp.params.beff, t, 2 * N_max) for t in taus]
+    return {
+        N: 1j * sum(v * t ** (-2 * N) for v, t in zip(vals, taus)) / M
+        for N in range(1, N_max + 1)
+    }
+
+
 def test_pn_polynomials():
+    # exp(i phi) on the middle column is const * exp(-i sum p_N tau^(2N)):
     # P_1 = 0; P_2 - P_1 = (4a^2/beff) b30 tau^2/2
     a = 0.3 + 0.2j
     params = ProblemParams(a, 1.0, 1)
     sigma = -2j * a
     exp = power_coeffs(params, sigma, b11=0.0, b1m1=0.5, K=5)
-    middle = {l: exp.coeffs.get((l + 1, 0), 0j) for l in range(1, 5)}
-    pN = pn_coefficients(params, middle, 4)
-    b30, b50, b70 = middle[1], middle[2], middle[3]
+    pN = _middle_pn(exp, 3)
+    b30, b50, b70 = (exp.coeffs[(k, 0)] for k in (2, 3, 4))
     beff = params.beff
     assert abs(pN[1] - 2 * a**2 / beff * b30) < 1e-12 * abs(pN[1])
     p2_want = (4 * a**2 / beff) * (b50 + 2 * a / beff * b30**2) / 4
@@ -514,15 +527,29 @@ def test_pn_polynomials():
     assert abs(pN[3] - p3_want) < 1e-10 * max(1.0, abs(p3_want))
 
 
-def test_phi_series_middle_matches_pn():
+def test_phi_exponent_middle_matches_pn():
+    # p_N = (a/N) sum_k (2a/beff)^k sum_{M(k,N)} multinomial prod b[2l+1,0]^(m_l)
     a = 0.3 + 0.2j
     params = ProblemParams(a, 1.0, 1)
     exp = power_coeffs(params, -2j * a, b11=0.0, b1m1=0.5, K=5)
-    ps = phi_series("middle", exp, 3)
-    middle = {l: exp.coeffs.get((l + 1, 0), 0j) for l in range(1, 4)}
-    want = pn_coefficients(params, middle, 3)
-    for n in range(1, 4):
-        assert ps.coeffs[n] == pytest.approx(want[n], rel=1e-12)
+    got = _middle_pn(exp, 3)
+    middle = {l: exp.coeffs[(l + 1, 0)] for l in range(1, 4)}
+    sums = inverse_power_sums(middle, 2 * a / params.beff, 3)
+    for N in range(1, 4):
+        assert got[N] == pytest.approx(a / N * sums[N], rel=1e-12)
+
+
+def test_phi_exponent_closed_forms():
+    # eps*u = 2 + 3 tau: int dtau/(eps*u) = log(1 + 1.5 tau)/3;
+    # eps*u = tau (2 + 3 tau): the same less log(tau)/2, halved and negated
+    beff, tau = 0.7, 0.01 - 0.02j
+    lg = cmath.log(1 + 1.5 * tau)
+    got = phi_exponent({0: 2.0, 1: 3.0}, beff, tau, 20)
+    assert got == pytest.approx(1j * beff * lg / 3, rel=1e-14)
+    got = phi_exponent({0: 0j, 1: 2.0, 2: 3.0}, beff, tau, 20)
+    assert got == pytest.approx(-1j * beff * lg / 2, rel=1e-14)
+    with pytest.raises(ValueError):
+        phi_exponent({2: 1.0}, beff, tau, 4)
 
 
 def test_inverse_power_sums_against_direct_expansion():
