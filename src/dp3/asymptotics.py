@@ -137,53 +137,48 @@ def w_amplitudes(data: MonodromyData, varrho: complex):
     return w1, w2, w3, w4
 
 
-def _special_power_hats(data: MonodromyData, br: BranchingParams, plus: bool):
-    """Amplitudes of the one-parameter power families (the gamma-pole
-    indeterminacy of the generic w resolved in closed form)."""
+def _stokes_side(data: MonodromyData, side: int):
+    """(g, s) of a Stokes side: (g21, s1inf) for side = +1, whose family has
+    s0inf = 0, and (g12, s0inf) for side = -1, whose family has s1inf = 0."""
+    return (data.g21, data.s1inf) if side > 0 else (data.g12, data.s0inf)
+
+
+# the closed-form seed a special-power profile carries on each Stokes side
+_SEED_KEYS = {1: "b1m1", -1: "b11"}
+
+
+def _seed_side(co: dict) -> int:
+    """+1 for a b1m1-seeded profile, -1 for a b11-seeded one, else 0."""
+    return 1 if "b1m1" in co else -1 if "b11" in co else 0
+
+
+def _special_power_hats(data: MonodromyData, br: BranchingParams, side: int):
+    """Amplitudes (w1, w2) for side = +1 or (w3, w4) for side = -1 of the
+    one-parameter power families (the gamma-pole indeterminacy of the
+    generic w resolved in closed form), with the family index n."""
     a = data.params.a
-    beff = data.params.beff
+    g, s = _stokes_side(data, side)
     varrho = br.varrho
     gr = gamma(2 * varrho) / gamma(2 - 2 * varrho)
-    sha = cmath.sinh(PI * a)
-    if plus:
-        n = max(0, round((varrho - 1 - 0.5j * a).real))
-        base = 0.5 * beff * 1j
-        w1 = (
-            pow_principal(base, 0.5 - varrho)
-            * (2 * PI / math.factorial(n))
-            * gr
-            * cmath.exp(0.75j * PI - 1.5 * PI * a)
-            / (data.s1inf * data.g21)
-        )
-        w2 = (
-            pow_principal(base, varrho - 0.5)
-            * cmath.exp(1j * PI * (varrho - 0.25))
-            / gr
-            * gamma(2 * varrho - n - 1)
-            * 2
-            * sha
-            * data.g21
-        )
-        return w1, w2, n
-    n = max(0, round((varrho - 1 + 0.5j * a).real))
-    base = -0.5 * beff * 1j
-    w3 = (
+    n = max(0, round((varrho - 1 - side * 0.5j * a).real))
+    base = side * 0.5 * data.params.beff * 1j
+    wa = (
         pow_principal(base, 0.5 - varrho)
         * (2 * PI / math.factorial(n))
         * gr
-        * cmath.exp(0.25j * PI + 0.5 * PI * a)
-        / (data.s0inf * data.g12)
+        * cmath.exp((0.5 + 0.25 * side) * 1j * PI - (0.5 + side) * PI * a)
+        / (s * g)
     )
-    w4 = (
+    wb = (
         pow_principal(base, varrho - 0.5)
-        * cmath.exp(1j * PI * (0.25 - varrho))
+        * cmath.exp(side * 1j * PI * (varrho - 0.25))
         / gr
         * gamma(2 * varrho - n - 1)
         * 2
-        * sha
-        * data.g12
+        * cmath.sinh(PI * a)
+        * g
     )
-    return w3, w4, n
+    return wa, wb, n
 
 
 def _pole_amplitudes(data: MonodromyData, varkappa: float):
@@ -316,7 +311,17 @@ def G_plus_minus(a: complex, eb: float):
 
 
 def build_profile(data: MonodromyData, tol: float = 1e-9) -> AsymptoticProfile:
-    """Fill the regime-specific coefficient record from the closed forms."""
+    """Fill the regime-specific coefficient record from the closed forms.
+
+    The special and half-integer families come in mirrored pairs, written
+    once with the Stokes side as a sign: side = +1 reads (g21, s1inf) and
+    has s0inf = 0, side = -1 reads (g12, s0inf) and has s1inf = 0.  Off the
+    pole line a special-power profile stores sigma = -2ia and its seed, b1m1
+    on side +1 (SpecialPowerPlus) or b11 on side -1, plus the hats (w1, w2)
+    or (w3, w4) and n when side * Im a > 0; the pole variants store
+    (o1, o2) or (o3, o4).  The half vanishing family stores b11_hat on
+    side -1 (Im a > 0) or b1m1_check on side +1.
+    """
     if residual_norm(data) > 1e-6:
         raise ValueError("data too far off the monodromy manifold")
     regime = classify(data, tol=tol)
@@ -333,57 +338,33 @@ def build_profile(data: MonodromyData, tol: float = 1e-9) -> AsymptoticProfile:
         co.update(w1=w1, w2=w2, w3=w3, w4=w4)
         re = br.varrho.real
         orders = (4 * re, 4 - 4 * re)
-    elif tag is RegimeTag.SPECIAL_POWER_PLUS:
+    elif tag in (RegimeTag.SPECIAL_POWER_PLUS, RegimeTag.SPECIAL_POWER_MINUS):
+        side = 1 if tag is RegimeTag.SPECIAL_POWER_PLUS else -1
         if regime.subcase.get("poles"):
             co.update(_pole_variant_amplitudes(data, regime.subcase["varkappa"],
-                                               regime.subcase["n"], True))
+                                               regime.subcase["n"], side > 0))
             orders = (2.0,)
         else:
             sigma = -2j * a
-            b1m1 = (
+            g, s = _stokes_side(data, side)
+            co["sigma"] = sigma
+            co[_SEED_KEYS[side]] = (
                 -1j
-                * pow_principal(beff / 2, 1 + 1j * a)
+                * pow_principal(beff / 2, 1 + side * 1j * a)
                 * PI
-                * cmath.exp(PI * a / 2)
+                * cmath.exp((side - 0.5) * PI * a)
                 / cmath.sinh(PI * a)
-                * data.s1inf
-                * data.g21**2
-                / gamma(1 + 1j * a) ** 3
+                * s
+                * g**2
+                / gamma(1 + side * 1j * a) ** 3
             )
-            co.update(sigma=sigma, b1m1=b1m1)
-            if a.imag > 0:
-                w1, w2, n = _special_power_hats(data, br, True)
-                co.update(w1=w1, w2=w2, n=n)
-            orders = (2.0, abs(2 - 2 * sigma.real))
-    elif tag is RegimeTag.SPECIAL_POWER_MINUS:
-        if regime.subcase.get("poles"):
-            co.update(_pole_variant_amplitudes(data, regime.subcase["varkappa"],
-                                               regime.subcase["n"], False))
-            orders = (2.0,)
-        else:
-            sigma = -2j * a
-            b11 = (
-                -1j
-                * pow_principal(beff / 2, 1 - 1j * a)
-                * PI
-                * cmath.exp(-1.5 * PI * a)
-                / cmath.sinh(PI * a)
-                * data.s0inf
-                * data.g12**2
-                / gamma(1 - 1j * a) ** 3
-            )
-            co.update(sigma=sigma, b11=b11)
-            if a.imag < 0:
-                w3, w4, n = _special_power_hats(data, br, False)
-                co.update(w3=w3, w4=w4, n=n)
-            orders = (2.0, abs(2 + 2 * sigma.real))
-    elif tag is RegimeTag.LOG_RHO0:
+            if side * a.imag > 0:
+                wa, wb, n = _special_power_hats(data, br, side)
+                ka, kb = ("w1", "w2") if side > 0 else ("w3", "w4")
+                co.update({ka: wa, kb: wb, "n": n})
+            orders = (2.0, abs(2 - side * 2 * sigma.real))
+    elif tag in (RegimeTag.LOG_RHO0, RegimeTag.LOG_VARRHO_HALF):
         co.update(_log_constants(data))
-        orders = (2.0,)
-    elif tag is RegimeTag.LOG_VARRHO_HALF:
-        co.update(_log_constants(data))
-        gp, gm = G_plus_minus(a, beff)
-        co.update(G_plus=gp, G_minus=gm)
         orders = (2.0,)
     elif tag is RegimeTag.POLE_ACCUMULATION:
         co.update(_pole_amplitudes(data, regime.subcase["varkappa"]))
@@ -395,26 +376,18 @@ def build_profile(data: MonodromyData, tol: float = 1e-9) -> AsymptoticProfile:
             n = regime.subcase["n"]
             co["n"] = n
             dfac = float(_double_factorial(2 * n - 1))
-            if a.imag > 0:
-                co["b11_hat"] = (
-                    cmath.exp(0.75j * PI)
-                    * cmath.exp(-0.5j * PI * n)
-                    * beff ** (n + 0.5)
-                    * 2 ** (2 * n)
-                    * data.s0inf
-                    * data.g12**2
-                    / (math.sqrt(2 * PI) * dfac**3)
-                )
-            else:
-                co["b1m1_check"] = (
-                    cmath.exp(-0.75j * PI)
-                    * cmath.exp(0.5j * PI * n)
-                    * beff ** (n + 0.5)
-                    * 2 ** (2 * n)
-                    * data.s1inf
-                    * data.g21**2
-                    / (math.sqrt(2 * PI) * dfac**3)
-                )
+            # b11_hat on the g12 side (Im a > 0), b1m1_check on the g21 side
+            side = -1 if a.imag > 0 else 1
+            g, s = _stokes_side(data, side)
+            co["b11_hat" if side < 0 else "b1m1_check"] = (
+                cmath.exp(-side * 0.75j * PI)
+                * cmath.exp(side * 0.5j * PI * n)
+                * beff ** (n + 0.5)
+                * 2 ** (2 * n)
+                * s
+                * g**2
+                / (math.sqrt(2 * PI) * dfac**3)
+            )
         orders = (float("inf"),)
     elif tag is RegimeTag.MEROMORPHIC_NONVANISHING:
         co["sigma"] = 1.0 + 0j
@@ -537,8 +510,10 @@ def _tau2ia(tau, a):
     return pow_principal(2 * tau * tau, 1j * a)
 
 
-# the level eval_u sums the series to where no closed form applies
+# the level eval_u sums the series to where no closed form applies, and the
+# order through which eval_phi reads it
 _SERIES_LEVEL = 6
+_PHI_ORDER = 4
 
 
 def eval_u(
@@ -565,24 +540,16 @@ def eval_u(
     co = profile.coefficients
 
     # the special families off the pole line carry their closed-form seed:
-    # b1m1 (s0inf = 0) or b11 (s1inf = 0)
-    if "b1m1" in co and -1 < a.imag < 1:
-        sigma, b1m1 = co["sigma"], co["b1m1"]
-        ts = pow_principal(tau, 1 - sigma)
+    # b1m1 (side +1) or b11 (side -1)
+    side = _seed_side(co)
+    if side and -1 < a.imag < 1:
+        sigma, seed = co["sigma"], co[_SEED_KEYS[side]]
+        ts = pow_principal(tau, 1 - side * sigma)
         val = (
-            eps * b1m1 * ts / (1 + 4 * b1m1 * ts * tau / (sigma - 2) ** 2) ** 2
+            eps * seed * ts / (1 + 4 * seed * ts * tau / (sigma - 2 * side) ** 2) ** 2
             - data.params.b * tau / (2 * a)
         )
-        return val, (abs(2 - sigma.real), 2.0)
-
-    if "b11" in co and -1 < a.imag < 1:
-        sigma, b11 = co["sigma"], co["b11"]
-        ts = pow_principal(tau, 1 + sigma)
-        val = (
-            eps * b11 * ts / (1 + 4 * b11 * ts * tau / (sigma + 2) ** 2) ** 2
-            - data.params.b * tau / (2 * a)
-        )
-        return val, (abs(2 + sigma.real), 2.0)
+        return val, (abs(2 - side * sigma.real), 2.0)
 
     pair = _power_pair(profile)
     if pair is not None:
@@ -615,7 +582,7 @@ def eval_u(
     return eval_expansion(exp, tau).value, (float(2 * _SERIES_LEVEL + 1),)
 
 
-def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
+def eval_phi(profile: AsymptoticProfile, tau: complex):
     """Leading value of exp(i*phi(tau)) with its correction orders.
 
     Every power-like regime reads its amplitude pair from _power_pair:
@@ -623,7 +590,12 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
     or e^{3 i pi/2} e^{pi a/2} (w_a w_b / 2 pi) (2 tau^2)^{i a} for the
     (w3, w4)-like pairs.  The log regimes and the special families with
     |Im a| < 1 use their closed forms; every other regime is prefactor *
-    exp(phi_exponent) of its series, read through order N.
+    exp(phi_exponent) of its series, read through order _PHI_ORDER.
+
+    The special families' closed forms and series-side prefactors are each
+    one formula in the Stokes side (see build_profile); on side -1 that
+    formula gives 1/exp(i phi), and the value returned is its inverse.  On
+    the series side the odd vanishing family is side -1 without a seed.
     """
     tau = complex(tau)
     data = profile.data
@@ -634,35 +606,23 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
     co = profile.coefficients
     g11, g12, g21, g22 = data.g
 
-    if "b1m1" in co and -1 < a.imag < 1:
+    side = _seed_side(co)
+    if side and -1 < a.imag < 1:
+        g, s = _stokes_side(data, side)
         val = (
-            cmath.exp(PI * a)
-            / (2 * PI * a * g21**2)
+            side
+            * cmath.exp(PI * a)
+            / (2 * PI * a * g**2)
             * (
-                cmath.exp(PI * a / 2)
-                * gamma(1 - 1j * a)
-                * data.s1inf
-                * g21**2
-                * _tau2ia(tau, a)
-                - 1j * gamma(1 + 1j * a) ** 2 * pow_principal(4 / beff, 1j * a)
+                cmath.exp((side - 0.5) * PI * a)
+                * gamma(1 - side * 1j * a)
+                * s
+                * g**2
+                * _tau2ia(tau, side * a)
+                - 1j * gamma(1 + side * 1j * a) ** 2 * pow_principal(4 / beff, side * 1j * a)
             )
         )
-        return val, (2.0, abs(2 + (2j * a).real))
-
-    if "b11" in co and -1 < a.imag < 1:
-        inv = (
-            -cmath.exp(PI * a)
-            / (2 * PI * a * g12**2)
-            * (
-                cmath.exp(-1.5 * PI * a)
-                * gamma(1 + 1j * a)
-                * data.s0inf
-                * g12**2
-                * _tau2ia(tau, -a)
-                - 1j * gamma(1 - 1j * a) ** 2 * pow_principal(4 / beff, -1j * a)
-            )
-        )
-        return 1 / inv, (2.0, abs(2 - (2j * a).real))
+        return (val if side > 0 else 1 / val), (2.0, abs(2 + side * (2j * a).real))
 
     pair = _power_pair(profile)
     if pair is not None:
@@ -703,9 +663,10 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
 
     # the table side: exp(i phi) = pre * exp(phi_exponent) with a closed-form
     # prefactor that carries the log term and the constant of integration
+    N = _PHI_ORDER
+    exp = series_for_regime(profile, K=N + 1)
     subcase = profile.regime.subcase
     if tag is RegimeTag.MEROMORPHIC_NONVANISHING:
-        exp = series_for_regime(profile, K=max(N + 2, 3))
         expo = phi_exponent(regrouped_taylor(exp, 1, N), beff, tau, N)
         if subcase.get("family") == "generic":
             pre = (
@@ -726,7 +687,6 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
 
     if tag is RegimeTag.MEROMORPHIC_VANISHING and subcase.get("family") == "half":
         # a = i(n - 1/2) (Im a > 0, g12) or its mirror (Im a < 0, g21)
-        exp = series_for_regime(profile, K=max(N + 1, 3))
         taylor = regrouped_taylor(exp, round(co["sigma"].real), N + 1)
         n = subcase["n"]
         g, side = (g12, -1) if a.imag > 0 else (g21, 1)
@@ -736,33 +696,28 @@ def eval_phi(profile: AsymptoticProfile, tau: complex, N: int = 4):
         return q**side * cmath.exp(phi_exponent(taylor, beff, tau, N)), (float(N + 1),)
 
     # the special families deep in their series side (|Im a| >= 1) and the
-    # odd vanishing family read the middle column b[2k-1,0]; the b1m1 (b11)
-    # side adds its own term to the exponent
-    exp = series_for_regime(profile, K=max(N + 1, 3))
+    # odd vanishing family read the middle column b[2k-1,0]; the odd family
+    # is side -1 without a seed, and a seeded side adds its seed's term to
+    # the exponent
     middle = {2 * k - 1: exp.coeffs[(k, 0)] for k in range(1, N + 2)}
     expo = phi_exponent(middle, beff, tau, 2 * N)
-    sigma = co["sigma"]
-    if "b1m1" in co:
-        pre = (
-            -1j
-            * cmath.exp(PI * a)
-            * gamma(1 + 1j * a) ** 2
-            / (2 * PI * a * g21**2)
-            * pow_principal(beff / 4, -1j * a)
-        )
-        expo += 4j * a * a / beff * co["b1m1"] * pow_principal(tau, -sigma) / sigma
-        return pre * cmath.exp(expo), (2.0,)
-    pre_inv = (
-        1j
+    seeded = _seed_side(co)
+    side = seeded or -1
+    g, _ = _stokes_side(data, side)
+    pre = (
+        -side
+        * 1j
         * cmath.exp(PI * a)
-        * gamma(1 - 1j * a) ** 2
-        / (2 * PI * a * g12**2)
-        * pow_principal(beff / 4, 1j * a)
+        * gamma(1 + side * 1j * a) ** 2
+        / (2 * PI * a * g**2)
+        * pow_principal(beff / 4, -side * 1j * a)
     )
-    if "b11" in co:
-        expo -= 4j * a * a / beff * co["b11"] * pow_principal(tau, sigma) / sigma
-        return cmath.exp(expo) / pre_inv, (2.0,)
-    return cmath.exp(expo) / pre_inv, (float(2 * N + 2),)
+    orders = (float(2 * N + 2),)
+    if seeded:
+        sigma, seed = co["sigma"], co[_SEED_KEYS[side]]
+        expo += side * 4j * a * a / beff * seed * pow_principal(tau, -side * sigma) / sigma
+        orders = (2.0,)
+    return (pre * cmath.exp(expo) if side > 0 else cmath.exp(expo) / pre), orders
 
 
 # ---------------------------------------------------------------------------
@@ -791,11 +746,9 @@ def series_for_regime(profile: AsymptoticProfile, K: int = 6, M: int = 12) -> Se
         return irreglog_coeffs(params, co["c_minus"] / 4, K=K, M=M)
 
     if tag is RegimeTag.MEROMORPHIC_VANISHING:
-        if profile.regime.subcase.get("family") == "odd":
-            return power_coeffs(params, co["sigma"], b11=0.0, b1m1=0.0, K=K)
-        if "b11_hat" in co:
-            return power_coeffs(params, co["sigma"], b11=co["b11_hat"], b1m1=0.0, K=K)
-        return power_coeffs(params, co["sigma"], b11=0.0, b1m1=co["b1m1_check"], K=K)
+        # the odd family carries neither half-family seed
+        b11, b1m1 = co.get("b11_hat", 0.0), co.get("b1m1_check", 0.0)
+        return power_coeffs(params, co["sigma"], b11=b11, b1m1=b1m1, K=K)
 
     if tag is RegimeTag.MEROMORPHIC_NONVANISHING:
         return power_coeffs(params, 1.0 + 0j, b1m1=co["b1m1_tilde"], K=K)
@@ -1061,23 +1014,16 @@ def identify_from_asymptotics(p, q1, q2, alpha, params):
     if abs(a.imag) < 1e-12:
         info["varrho"] = vr_a if 0 < vr_a.real < 1 else vr_b
         return "generic", info
-    if a.imag > 0:
-        want_re = 1 - (a.imag / 2 - math.floor(a.imag / 2))
-        want_im = a.real / 2
-        for vr in (vr_a, vr_b):
-            if abs(vr.real - want_re) < 1e-8 and abs(vr.imag - want_im) < 1e-8:
-                info["varrho"] = vr
-                info["n"] = math.floor(a.imag / 2)
-                return "special-plus", info
-        info["varrho"] = vr_a if 0 < vr_a.real < 1 else vr_b
-        return "generic", info
-    want_re = a.imag / 2 - math.floor(a.imag / 2)
-    want_im = -a.real / 2
+    # the special family on the side of Im a has varrho = 1 + n + side i a/2
+    # with n = floor(side Im a / 2)
+    side = 1 if a.imag > 0 else -1
+    frac = a.imag / 2 - math.floor(a.imag / 2)
+    want_re, want_im = (1 + side) / 2 - side * frac, side * a.real / 2
     for vr in (vr_a, vr_b):
         if abs(vr.real - want_re) < 1e-8 and abs(vr.imag - want_im) < 1e-8:
             info["varrho"] = vr
-            info["n"] = math.floor(-a.imag / 2)
-            return "special-minus", info
+            info["n"] = math.floor(side * a.imag / 2)
+            return ("special-plus" if side > 0 else "special-minus"), info
     info["varrho"] = vr_a if 0 < vr_a.real < 1 else vr_b
     return "generic", info
 

@@ -325,8 +325,17 @@ def complete_special(
 
     SpecialPowerPlus needs (g21 != 0, s1inf); SpecialPowerMinus needs
     (g12 != 0, s0inf); MeromorphicVanishing with s0inf = s1inf = 0 needs
-    g21 (or g12); the half-integer meromorphic families additionally fix a
-    through n.  Raises OutOfScopeError when sinh(pi*a) = 0.
+    g21 (or g12).  Raises OutOfScopeError when sinh(pi*a) = 0.
+
+    At a = i(m - 1/2) both meromorphic tags complete one half-integer family
+    whose Stokes side is a sign: side = +1 reads (g21, s1inf) and has
+    s0inf = 0, side = -1 reads (g12, s0inf) and has s1inf = 0.  The
+    vanishing family takes side -1 for m >= 1 and +1 for m <= 0 (a missing
+    Stokes multiplier is 0); the nonvanishing family takes the other side
+    and needs the multiplier s != 0.  With g the supplied entry and
+    sgn = -side (-1)^m, the other entry in g's row is (sgn - s g^2)/(2g),
+    the other entry in its column is sgn g, and the opposite corner is
+    -(1 + sgn s g^2)/(2g).
     """
     tag = regime.tag if isinstance(regime, Regime) else regime
     a = params.a
@@ -362,83 +371,44 @@ def complete_special(
         g21 = -(epa + 1j * s0inf * g12 * g12 * ema * ema) / (2 * sha * g12)
         return MonodromyData(params, s00, s0inf, 0j, g11, g12, g21, g22)
 
-    if tag is RegimeTag.MEROMORPHIC_VANISHING:
-        m = _imag_half_integer_index(a)
-        if m is None:
-            # s0inf = s1inf = 0 family (odd meromorphic solutions)
-            s00 = 2j * cmath.cosh(cmath.pi * a)
-            if g21 not in (None, 0):
-                g21 = complex(g21)
-                g11 = 1j * ema * g21
-                g12 = -epa / (2 * sha * g21)
-                g22 = -1j * ema * g12
-            elif g12 not in (None, 0):
-                g12 = complex(g12)
-                g22 = -1j * ema * g12
-                g21 = -epa / (2 * sha * g12)
-                g11 = 1j * ema * g21
-            else:
-                raise UnderdeterminedError("need g21 != 0 or g12 != 0")
-            return MonodromyData(params, s00, 0j, 0j, g11, g12, g21, g22)
-        # half-integer families: a = i(n - 1/2) with s1inf = 0, or the
-        # mirror a = -i(n - 1/2) with s0inf = 0
-        if m >= 1:
-            if g12 in (None, 0):
-                raise UnderdeterminedError("need g12 != 0")
-            g12 = complex(g12)
-            s0 = complex(s0inf) if s0inf is not None else 0j
-            sgn = (-1) ** m
-            g11 = (sgn - s0 * g12 * g12) / (2 * g12)
-            g21 = -(1 + sgn * s0 * g12 * g12) / (2 * g12)
-            g22 = sgn * g12
-            return MonodromyData(params, 0j, s0, 0j, g11, g12, g21, g22)
-        nn = 1 - m  # a = -i(nn - 1/2)
-        if g21 in (None, 0):
-            raise UnderdeterminedError("need g21 != 0")
-        g21 = complex(g21)
-        s1 = complex(s1inf) if s1inf is not None else 0j
-        sgn = (-1) ** nn
-        g22 = (sgn - s1 * g21 * g21) / (2 * g21)
-        g12 = -(1 + sgn * s1 * g21 * g21) / (2 * g21)
-        g11 = sgn * g21
-        return MonodromyData(params, 0j, 0j, s1, g11, g12, g21, g22)
-
-    if tag is RegimeTag.MEROMORPHIC_NONVANISHING:
-        m = _imag_half_integer_index(a)
-        if m is None:
-            raise UnderdeterminedError(
-                "generic nonvanishing data comes from complete_from_G with s00 = 0"
-            )
-        if m >= 1:
-            # a = i(m - 1/2), s0inf = 0
-            if g21 in (None, 0) or s1inf in (None, 0):
-                raise UnderdeterminedError("need g21 != 0 and s1inf != 0")
+    m = _imag_half_integer_index(a)
+    if tag is RegimeTag.MEROMORPHIC_VANISHING and m is None:
+        # s0inf = s1inf = 0 family (odd meromorphic solutions): g12 g21
+        # fixed, from whichever of the two is supplied
+        s00 = 2j * cmath.cosh(cmath.pi * a)
+        if g21 not in (None, 0):
             g21 = complex(g21)
-            s1 = complex(s1inf)
-            if m % 2 == 0:  # a = i(2n + 3/2) -> m = 2n + 2 even
-                g11 = -g21
-                g12 = (s1 * g21 * g21 - 1) / (2 * g21)
-                g22 = -(s1 * g21 * g21 + 1) / (2 * g21)
-            else:  # a = i(2n + 1/2) -> m = 2n + 1 odd
-                g11 = g21
-                g12 = -(1 + s1 * g21 * g21) / (2 * g21)
-                g22 = (1 - s1 * g21 * g21) / (2 * g21)
-            return MonodromyData(params, 0j, 0j, s1, g11, g12, g21, g22)
-        # a = -i(n - 1/2), s1inf = 0
-        nn = 1 - m
-        if g12 in (None, 0) or s0inf in (None, 0):
-            raise UnderdeterminedError("need g12 != 0 and s0inf != 0")
-        g12 = complex(g12)
-        s0 = complex(s0inf)
-        if nn % 2 == 0:  # a = -i(2n + 3/2)
-            g22 = -g12
-            g21 = (s0 * g12 * g12 - 1) / (2 * g12)
-            g11 = -(s0 * g12 * g12 + 1) / (2 * g12)
-        else:  # a = -i(2n + 1/2)
-            g22 = g12
-            g21 = -(1 + s0 * g12 * g12) / (2 * g12)
-            g11 = (1 - s0 * g12 * g12) / (2 * g12)
-        return MonodromyData(params, 0j, s0, 0j, g11, g12, g21, g22)
+            g12 = -epa / (2 * sha * g21)
+        elif g12 not in (None, 0):
+            g12 = complex(g12)
+            g21 = -epa / (2 * sha * g12)
+        else:
+            raise UnderdeterminedError("need g21 != 0 or g12 != 0")
+        g11 = 1j * ema * g21
+        g22 = -1j * ema * g12
+        return MonodromyData(params, s00, 0j, 0j, g11, g12, g21, g22)
+    if tag is RegimeTag.MEROMORPHIC_NONVANISHING and m is None:
+        raise UnderdeterminedError(
+            "generic nonvanishing data comes from complete_from_G with s00 = 0"
+        )
+    if tag in (RegimeTag.MEROMORPHIC_VANISHING, RegimeTag.MEROMORPHIC_NONVANISHING):
+        # a = i(m - 1/2): the vanishing family sits on the g12 side for
+        # m >= 1, the nonvanishing family on the other
+        nonvanishing = tag is RegimeTag.MEROMORPHIC_NONVANISHING
+        side = 1 if (m >= 1) == nonvanishing else -1
+        g, s = (g21, s1inf) if side > 0 else (g12, s0inf)
+        if g in (None, 0) or nonvanishing and s in (None, 0):
+            g_name, s_name = ("g21", "s1inf") if side > 0 else ("g12", "s0inf")
+            need = f"{g_name} != 0" + (f" and {s_name} != 0" if nonvanishing else "")
+            raise UnderdeterminedError("need " + need)
+        g = complex(g)
+        s = complex(s) if s is not None else 0j
+        sgn = -side * (-1) ** m
+        near = (sgn - s * g * g) / (2 * g)
+        far = -(1 + sgn * s * g * g) / (2 * g)
+        if side > 0:
+            return MonodromyData(params, 0j, 0j, s, sgn * g, far, g, near)
+        return MonodromyData(params, 0j, s, 0j, near, g, far, sgn * g)
 
     raise ValueError(f"no closed-form completion for {tag}")
 
@@ -472,16 +442,11 @@ def classify(data: MonodromyData, tol: float = 1e-9) -> Regime:
         return Regime(RegimeTag.MEROMORPHIC_VANISHING, {"family": "odd"})
 
     if m_half is not None and (s0z or s1z):
-        # s00 = 0 is automatic here; the Stokes side decides the family
-        if m_half >= 1 and s1z:
-            return Regime(
-                RegimeTag.MEROMORPHIC_VANISHING, {"family": "half", "n": m_half}
-            )
-        if m_half < 1 and s0z:
-            return Regime(
-                RegimeTag.MEROMORPHIC_VANISHING, {"family": "half", "n": 1 - m_half}
-            )
-        # a = i(m - 1/2) on either side, the index complete_special decodes
+        # s00 = 0 is automatic here.  The vanishing family has s1inf = 0 for
+        # m >= 1 and s0inf = 0 for its mirror; the other side is nonvanishing
+        if s1z == (m_half >= 1):
+            n = max(m_half, 1 - m_half)
+            return Regime(RegimeTag.MEROMORPHIC_VANISHING, {"family": "half", "n": n})
         return Regime(
             RegimeTag.MEROMORPHIC_NONVANISHING, {"family": "half", "m": m_half}
         )
@@ -492,22 +457,19 @@ def classify(data: MonodromyData, tol: float = 1e-9) -> Regime:
             "multiple regime conditions within tol; tighten tol or clean the data"
         )
 
-    if s0z:
+    if s0z or s1z:
+        # s0inf = 0 (side +1) or s1inf = 0 (side -1); the family index needs
+        # side * Im a > 0
+        side = 1 if s0z else -1
+        im = side * a.imag
         sub = {}
-        im2 = a.imag / 2.0
-        if abs(a.imag - round(a.imag)) <= tol and round(a.imag) % 2 == 1 and a.imag > 0:
-            # a = 2*kappa + i(2n+1): pole-accumulation variant
-            sub = {"poles": True, "varkappa": a.real / 2.0, "n": (round(a.imag) - 1) // 2}
-        elif a.imag > 0:
-            sub = {"n": math.floor(im2)}
-        return Regime(RegimeTag.SPECIAL_POWER_PLUS, sub)
-    if s1z:
-        sub = {}
-        if abs(a.imag - round(a.imag)) <= tol and round(-a.imag) % 2 == 1 and a.imag < 0:
-            sub = {"poles": True, "varkappa": a.real / 2.0, "n": (round(-a.imag) - 1) // 2}
-        elif a.imag < 0:
-            sub = {"n": math.floor(-a.imag / 2.0)}
-        return Regime(RegimeTag.SPECIAL_POWER_MINUS, sub)
+        if abs(a.imag - round(a.imag)) <= tol and round(im) % 2 == 1 and im > 0:
+            # a = 2*kappa +- i(2n+1): pole-accumulation variant
+            sub = {"poles": True, "varkappa": a.real / 2.0, "n": (round(im) - 1) // 2}
+        elif im > 0:
+            sub = {"n": math.floor(im / 2.0)}
+        tag = RegimeTag.SPECIAL_POWER_PLUS if side > 0 else RegimeTag.SPECIAL_POWER_MINUS
+        return Regime(tag, sub)
 
     if s00_is_2i:
         return Regime(RegimeTag.LOG_RHO0)

@@ -812,7 +812,10 @@ def check_uniform_consistency(seed=0):
     recs = []
     d = _digest("c14", seed)
     # (a) tail comparison against the generic leading term for Re sigma_gen
-    #     in (2.2, 3.8), i.e. Re varrho in (0.55, 0.95)
+    #     in (2.2, 3.8), i.e. Re varrho in (0.55, 0.95): the canonical
+    #     varrho has Re <= 1/2, so the window is read through its mirror
+    #     1 - varrho, Re varrho in (0.05, 0.45), and the difference decays
+    #     like tau^(4 Re varrho)
     worst_pair = 0.0
     found = 0
     for _ in range(400):
@@ -824,11 +827,10 @@ def check_uniform_consistency(seed=0):
         if reg.tag is not RegimeTag.GENERIC_POWER or reg.subcase.get("varrho_ray"):
             continue
         br = mon.branching(data, reg)
-        re4 = 4 * br.varrho.real
-        if not 2.2 < re4 < 3.8:
+        if not 0.05 < br.varrho.real < 0.45:
             continue
         prof = asy.build_profile(data)
-        q = 4 - 4 * br.varrho.real
+        q = 4 * br.varrho.real
         e = []
         for tau in (1e-3, 2e-3):
             uu = asy.eval_uniform(prof, tau)
@@ -842,11 +844,12 @@ def check_uniform_consistency(seed=0):
     recs.append(
         _record(
             "uniform vs generic leading term (Re sigma in (2.2,3.8), 10 pts)",
-            worst_pair,
+            worst_pair if found >= 10 else math.inf,
             1.0,
             "derived-oracle",
             lap,
             d,
+            detail=f"{found} points",
         )
     )
     # (b) b11 = 0 reduction to the one-parameter power form

@@ -8,6 +8,7 @@ import pytest
 
 from dp3.asymptotics import (
     DomainError,
+    _power_pair,
     G_plus_minus,
     build_profile,
     eval_phi,
@@ -31,6 +32,7 @@ from dp3.monodromy import (
     complete_special,
 )
 from dp3.series import eval_expansion
+from dp3.specfun import pow_principal
 
 
 def sample_generic(rng, a=None):
@@ -199,6 +201,40 @@ def test_pole_variant_chart():
     shr = math.exp(-math.pi / (2 * kappa))
     for t0, t1 in zip(chart.tau_p[:-1], chart.tau_p[1:]):
         assert abs(t1 / t0) == pytest.approx(shr, rel=1e-12)
+
+
+def _pole_chart_points():
+    for kappa in (0.6, -0.7):
+        for n in (0, 1):
+            a = 2 * kappa + 1j * (2 * n + 1)
+            yield complete_special(
+                RegimeTag.SPECIAL_POWER_PLUS, ProblemParams(a, 1.0, 1),
+                g21=0.8 - 0.3j, s1inf=0.6 + 0.2j,
+            )
+            yield complete_special(
+                RegimeTag.SPECIAL_POWER_MINUS, ProblemParams(a.conjugate(), 1.0, 1),
+                g12=0.8 - 0.3j, s0inf=0.6 + 0.2j,
+            )
+    params = ProblemParams(0.3, 1.0, 1)
+    s00 = -2j * math.cosh(2 * math.pi * 0.6)
+    yield complete_from_g11_g21_s00(params, 0.9, 0.4 + 0.2j, s00)
+
+
+@pytest.mark.parametrize("data", list(_pole_chart_points()))
+def test_pole_chart_sites_are_zeros_of_the_leading_denominator(data):
+    # every pole regime's u ~ ... / (w_a tau^(1-2 varrho) + w_b tau^(2 varrho-1))^2:
+    # the chart's tau_p must be zeros of that denominator, for both special
+    # pole variants a = 2 kappa +- i(2n+1) and for pole accumulation
+    prof = build_profile(data)
+    assert prof.regime.tag is RegimeTag.POLE_ACCUMULATION or prof.regime.subcase["poles"]
+    wa, wb, _ = _power_pair(prof)
+    vr = prof.branching.varrho
+    chart = pole_chart(prof, range(1, 9))
+    assert len(chart.tau_p) == 8
+    for t in chart.tau_p:
+        x = wa * pow_principal(t, 1 - 2 * vr)
+        y = wb * pow_principal(t, 2 * vr - 1)
+        assert abs(x + y) <= 1e-12 * max(abs(x), abs(y))
 
 
 def _pole_data(kappa):

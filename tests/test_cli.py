@@ -106,6 +106,43 @@ def test_series_csv(tmp_path):
     assert len(rows) == 1 + 3 + 5 + 7  # header + levels 1..3
 
 
+def test_uniform_csv(datafile, tmp_path):
+    out = tmp_path / "uniform.csv"
+    rc = main(
+        ["uniform", "--data", str(datafile), "--tau-grid", "0.001,0.01,4,log",
+         "--correction", "--out", str(out)]
+    )
+    assert rc == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["tau_re", "tau_im", "u_re", "u_im"]
+    assert len(rows) == 1 + 4
+
+
+def test_genfun_csv(tmp_path):
+    out = tmp_path / "genfun.csv"
+    rc = main(
+        ["genfun", "--family", "power", "--n", "1", "--a", "0.3,0.1", "--sigma",
+         "0.4,0.2", "--seed", "0.5,0.1", "--levels", "6", "--out", str(out)]
+    )
+    assert rc == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["order", "re", "im"]
+    assert len(rows) == 1 + 7  # orders 0..6
+
+
+def test_lattice_csv(datafile, tmp_path, capsys):
+    out = tmp_path / "lattice.csv"
+    rc = main(
+        ["lattice", "--data", str(datafile), "--grid", "0.05,0.5,5", "--n-min", "-1",
+         "--n-max", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    assert "two_node" in capsys.readouterr().out
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["n", "tau_re", "tau_im", "u_re", "u_im"]
+    assert len(rows) == 1 + 4 * 5  # n = -1..2 on five grid points
+
+
 def test_integrate_trace_and_singularity_log(datafile, tmp_path):
     out = tmp_path / "trace.csv"
     sing = tmp_path / "sing.json"

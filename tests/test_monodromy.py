@@ -219,6 +219,35 @@ def test_complete_special_pole_variant():
     assert reg.subcase["varkappa"] == pytest.approx(kappa)
 
 
+@pytest.mark.parametrize(
+    "tag", [RegimeTag.MEROMORPHIC_VANISHING, RegimeTag.MEROMORPHIC_NONVANISHING]
+)
+@pytest.mark.parametrize("m", range(-3, 5))
+@pytest.mark.parametrize("side", [1, -1])
+def test_half_integer_completion_round_trip(tag, m, side):
+    # a = i(m - 1/2): side +1 supplies (g21, s1inf), side -1 (g12, s0inf).
+    # The vanishing family lives on side -1 for m >= 1 and the nonvanishing
+    # family on the other; the wrong side is underdetermined
+    params = ProblemParams(1j * (m - 0.5), 1.0, 1)
+    kw = dict(g21=0.8 - 0.3j, s1inf=0.5 + 0.2j) if side > 0 else dict(
+        g12=0.9 + 0.2j, s0inf=0.4 - 0.1j
+    )
+    nonvanishing = tag is RegimeTag.MEROMORPHIC_NONVANISHING
+    if side != (1 if (m >= 1) == nonvanishing else -1):
+        with pytest.raises(UnderdeterminedError):
+            complete_special(tag, params, **kw)
+        return
+    data = complete_special(tag, params, **kw)
+    assert residual_norm(data) <= 1e-12
+    assert (data.s0inf if side > 0 else data.s1inf) == 0
+    reg = classify(data)
+    assert reg.tag is tag
+    index = {"family": "half", "m": m} if nonvanishing else {
+        "family": "half", "n": max(m, 1 - m)
+    }
+    assert reg.subcase == index
+
+
 def test_complete_special_out_of_scope_near_integer_ia():
     with pytest.raises(OutOfScopeError):
         ProblemParams(1e-14j, 1.0, 1)
